@@ -78,11 +78,6 @@ const SCREEN_LANES: usize = 64;
 /// Counter storage for one first-level bucket: a flat counter slab plus
 /// parallel screen-sum arrays (see the module docs for the layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(try_from = "LevelStateRepr", into = "LevelStateRepr")
-)]
 pub(crate) struct LevelState {
     /// Number of second-level tables (`r`).
     num_tables: usize,
@@ -117,8 +112,8 @@ impl LevelState {
     }
 
     /// Rebuilds a level from raw slabs, validating the lengths against
-    /// the `(r, s)` dimensions — the single reconstruction path shared
-    /// by the persistence state layer and the serde representation.
+    /// the `(r, s)` dimensions — the reconstruction path of the
+    /// persistence state layer.
     pub(crate) fn from_parts(
         num_tables: usize,
         buckets_per_table: usize,
@@ -485,46 +480,6 @@ impl LevelState {
     }
 }
 
-/// Wire representation of a [`LevelState`]: the slabs as plain vectors
-/// plus the dimensions needed to validate them on the way back in.
-#[cfg(feature = "serde")]
-#[derive(serde::Serialize, serde::Deserialize)]
-struct LevelStateRepr {
-    num_tables: usize,
-    buckets_per_table: usize,
-    counts: Vec<i64>,
-    key_sums: Vec<u64>,
-    fp_sums: Vec<u64>,
-}
-
-#[cfg(feature = "serde")]
-impl From<LevelState> for LevelStateRepr {
-    fn from(state: LevelState) -> Self {
-        Self {
-            num_tables: state.num_tables,
-            buckets_per_table: state.buckets_per_table,
-            counts: state.counts.into_vec(),
-            key_sums: state.key_sums.into_vec(),
-            fp_sums: state.fp_sums.into_vec(),
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-impl TryFrom<LevelStateRepr> for LevelState {
-    type Error = String;
-
-    fn try_from(repr: LevelStateRepr) -> Result<Self, Self::Error> {
-        LevelState::from_parts(
-            repr.num_tables,
-            repr.buckets_per_table,
-            repr.counts,
-            repr.key_sums,
-            repr.fp_sums,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,22 +744,5 @@ mod tests {
         scalar.subtract_scalar(&b);
         assert_eq!(wide, scalar);
         assert_eq!(wide, a);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip_preserves_arena_and_rejects_bad_lengths() {
-        let mut level = LevelState::new(2, 4);
-        level.apply(0, 1, key(1, 2), Delta::Insert);
-        level.apply(1, 3, key(3, 4), Delta::Insert);
-        let json = serde_json::to_string(&level).unwrap();
-        let back: LevelState = serde_json::from_str(&json).unwrap();
-        assert_eq!(level, back);
-
-        // A truncated counter slab must fail validation, not panic later.
-        let mut repr = LevelStateRepr::from(level);
-        repr.counts.pop();
-        let corrupt = serde_json::to_string(&repr).unwrap();
-        assert!(serde_json::from_str::<LevelState>(&corrupt).is_err());
     }
 }

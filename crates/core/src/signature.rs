@@ -26,9 +26,9 @@
 //! values: each level keeps one contiguous counter slab plus two
 //! parallel screen-sum arrays, and borrows individual buckets through
 //! `SigRef` / `SigMut`. All decode/screen/apply logic lives on the
-//! views; the owned [`CountSignature`] (still the public, serde-derived
-//! type for standalone use) delegates every operation through a view of
-//! its own fields, so the two representations cannot drift.
+//! views; the owned [`CountSignature`] (the test-facing reference for
+//! screen equivalence) delegates every operation through a view of its
+//! own fields, so the two representations cannot drift.
 //!
 //! This module is also the only place allowed to perform arithmetic on
 //! counter state (lint **L1**): every mutation goes through
@@ -674,7 +674,6 @@ slab_is_zero!(
 /// assert_eq!(sig.decode(), BucketState::Empty);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CountSignature {
     /// `counts[0]` is the total element count; `counts[1 + j]` is the
     /// bit-location count for bit `j` of the packed pair.

@@ -204,7 +204,6 @@ impl DistinctSample {
 
 /// A second-level hash function of the configured [`HashFamily`].
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum TableHash {
     MultiplyShift(MultiplyShiftHash),
     Tabulation(Box<TabulationHash>),
@@ -274,7 +273,6 @@ impl Hash64 for TableHash {
 /// assert_eq!(top.entries[0].group, 7);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistinctCountSketch {
     config: SketchConfig,
     level_hash: GeometricLevelHash,
@@ -284,8 +282,7 @@ pub struct DistinctCountSketch {
     net_updates: i64,
     /// Telemetry recorder — a ZST no-op unless the `telemetry` feature
     /// is enabled. Not part of the synopsis state, so it is skipped by
-    /// serialization and ignored by equality-style comparisons.
-    #[cfg_attr(feature = "serde", serde(skip, default))]
+    /// checkpoints and ignored by equality-style comparisons.
     pub(crate) telem: Telem,
 }
 
@@ -1627,36 +1624,6 @@ mod tests {
         assert_eq!(est.entries.len(), 4);
         let total: u64 = est.entries.iter().map(|e| e.estimated_frequency).sum();
         assert!((100..400).contains(&total), "total = {total}");
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn tabulation_sketch_serde_roundtrips() {
-        let config = SketchConfig::builder()
-            .buckets_per_table(64)
-            .hash_family(crate::config::HashFamily::Tabulation)
-            .seed(25)
-            .build()
-            .unwrap();
-        let mut sketch = DistinctCountSketch::new(config);
-        for s in 0..100u32 {
-            sketch.insert(SourceAddr(s), DestAddr(1));
-        }
-        let json = serde_json::to_string(&sketch).unwrap();
-        let back: DistinctCountSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(sketch.estimate_top_k(1, 0.25), back.estimate_top_k(1, 0.25));
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn sketch_serde_roundtrips_and_answers_identically() {
-        let mut sketch = DistinctCountSketch::new(small_config(13));
-        for s in 0..500u32 {
-            sketch.insert(SourceAddr(s), DestAddr(s % 7));
-        }
-        let json = serde_json::to_string(&sketch).unwrap();
-        let back: DistinctCountSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(sketch.estimate_top_k(3, 0.25), back.estimate_top_k(3, 0.25));
     }
 
     #[test]

@@ -180,182 +180,6 @@ fn export_snapshot(
     }
 }
 
-/// Tries to resume the monitor from an existing checkpoint file.
-/// Any problem — missing file aside — degrades to a fresh start with a
-/// warning on stderr: a monitor must never refuse to boot because its
-/// own recovery file is damaged or stale.
-fn restore_monitor(
-    manager: &CheckpointManager,
-    config: &SketchConfig,
-    policy: AlarmPolicy,
-) -> (DdosMonitor, bool) {
-    let fresh = |policy: AlarmPolicy| DdosMonitor::new(config.clone(), policy);
-    match manager.try_load() {
-        Ok(None) => (fresh(policy), false),
-        Ok(Some(Checkpoint::Tracking(state))) => {
-            if state.sketch.config != *config {
-                eprintln!(
-                    "checkpoint {}: sketch configuration differs from the \
-                     pipeline's; starting fresh",
-                    manager.path().display()
-                );
-                return (fresh(policy), false);
-            }
-            match TrackingDcs::from_state(state) {
-                Ok(sketch) => (DdosMonitor::with_sketch(sketch, policy), true),
-                Err(e) => {
-                    eprintln!(
-                        "checkpoint {}: restored state rejected ({e}); starting fresh",
-                        manager.path().display()
-                    );
-                    (fresh(policy), false)
-                }
-            }
-        }
-        Ok(Some(other)) => {
-            eprintln!(
-                "checkpoint {}: holds a {} document, not a tracking sketch; \
-                 starting fresh",
-                manager.path().display(),
-                other.kind_name()
-            );
-            (fresh(policy), false)
-        }
-        Err(e) => {
-            eprintln!(
-                "checkpoint {}: unreadable ({e}); starting fresh",
-                manager.path().display()
-            );
-            (fresh(policy), false)
-        }
-    }
-}
-
-/// Tries to resume a sharded ingest engine from an existing checkpoint
-/// file, with the same degradation contract as [`restore_monitor`]: any
-/// problem short of a missing file warns on stderr and starts fresh.
-/// A valid sharded document resumes with *its own* shard count (routing
-/// is part of the persisted stream position), which may differ from the
-/// configured `shards`.
-fn restore_sharded(
-    manager: &CheckpointManager,
-    config: &SketchConfig,
-    shards: usize,
-) -> (ShardedIngest, bool) {
-    let fresh = || ShardedIngest::new(config.clone(), shards);
-    match manager.try_load() {
-        Ok(None) => (fresh(), false),
-        Ok(Some(Checkpoint::Sharded(doc))) => {
-            if doc.shards.first().map(|s| &s.config) != Some(config) {
-                eprintln!(
-                    "checkpoint {}: sketch configuration differs from the \
-                     pipeline's; starting fresh",
-                    manager.path().display()
-                );
-                return (fresh(), false);
-            }
-            match ShardedIngest::from_checkpoint(doc) {
-                Ok(engine) => (engine, true),
-                Err(e) => {
-                    eprintln!(
-                        "checkpoint {}: restored state rejected ({e}); starting fresh",
-                        manager.path().display()
-                    );
-                    (fresh(), false)
-                }
-            }
-        }
-        Ok(Some(other)) => {
-            eprintln!(
-                "checkpoint {}: holds a {} document, not a sharded ingest; \
-                 starting fresh",
-                manager.path().display(),
-                other.kind_name()
-            );
-            (fresh(), false)
-        }
-        Err(e) => {
-            eprintln!(
-                "checkpoint {}: unreadable ({e}); starting fresh",
-                manager.path().display()
-            );
-            (fresh(), false)
-        }
-    }
-}
-
-/// Builds the epoch window for a pipeline window policy. An invalid
-/// policy is a caller error, not a runtime artifact, so it panics (the
-/// documented [`run_pipeline`] contract) instead of degrading.
-///
-/// # Panics
-///
-/// Panics when `policy` fails [`WindowPolicy::validate`].
-fn new_epoch_window(config: &SketchConfig, policy: &WindowPolicy) -> EpochWindow {
-    match EpochWindow::new(config.clone(), policy.clone()) {
-        Ok(window) => window,
-        Err(e) => panic!("invalid pipeline window policy: {e}"),
-    }
-}
-
-/// Tries to resume a windowed monitor (epoch window + cumulative
-/// sketch) from an existing checkpoint file, with the same degradation
-/// contract as [`restore_monitor`]. Only a window document (kind 5) is
-/// accepted; the ring, accumulator, and epoch base are restored
-/// bit-exactly, while alarm baselines re-warm as usual.
-fn restore_window(
-    manager: &CheckpointManager,
-    config: &SketchConfig,
-    policy: AlarmPolicy,
-    window_policy: &WindowPolicy,
-) -> (EpochWindow, DdosMonitor, bool) {
-    let fresh = |policy: AlarmPolicy| {
-        (
-            new_epoch_window(config, window_policy),
-            DdosMonitor::new(config.clone(), policy),
-            false,
-        )
-    };
-    match manager.try_load() {
-        Ok(None) => fresh(policy),
-        Ok(Some(Checkpoint::Window(doc))) => {
-            if doc.current.sketch.config != *config {
-                eprintln!(
-                    "checkpoint {}: sketch configuration differs from the \
-                     pipeline's; starting fresh",
-                    manager.path().display()
-                );
-                return fresh(policy);
-            }
-            match EpochWindow::from_checkpoint(doc, window_policy.clone()) {
-                Ok((window, current)) => (window, DdosMonitor::with_sketch(current, policy), true),
-                Err(e) => {
-                    eprintln!(
-                        "checkpoint {}: restored state rejected ({e}); starting fresh",
-                        manager.path().display()
-                    );
-                    fresh(policy)
-                }
-            }
-        }
-        Ok(Some(other)) => {
-            eprintln!(
-                "checkpoint {}: holds a {} document, not a window; starting fresh",
-                manager.path().display(),
-                other.kind_name()
-            );
-            fresh(policy)
-        }
-        Err(e) => {
-            eprintln!(
-                "checkpoint {}: unreadable ({e}); starting fresh",
-                manager.path().display()
-            );
-            fresh(policy)
-        }
-    }
-}
-
 /// Writes one checkpoint document, timing the save and disabling
 /// checkpointing on failure (same degradation contract as the
 /// telemetry exporter: warn once, carry on).
@@ -384,101 +208,231 @@ fn write_checkpoint(
     }
 }
 
-/// One alarm evaluation at an ingest boundary: direct mode judges the
-/// monitor's own sketch; sharded mode flushes the engine and judges the
-/// merged snapshot (a merge failure — unreachable with one shared
-/// configuration — degrades to a warning, never a lost pipeline).
+/// Builds the epoch window for a pipeline window policy. An invalid
+/// policy is a caller error, not a runtime artifact, so it panics (the
+/// documented [`run_pipeline`] contract) instead of degrading.
 ///
-/// In windowed mode the boundary also closes an epoch: the cumulative
-/// sketch (the monitor's own, or the merged view) is differenced
-/// against the epoch base, the window slides in O(1), and the alarm
-/// rules judge the windowed top-k instead of the all-time view. A
-/// window failure — unreachable under the pipeline's invariants —
-/// degrades to a warning and a skipped judgment, never a lost pipeline.
-fn evaluate_boundary(
-    engine: &mut Option<ShardedIngest>,
-    monitor: &mut DdosMonitor,
-    window: &mut Option<EpochWindow>,
-    alarms: &mut Vec<Alarm>,
-) {
-    fn judge_window_top(w: &EpochWindow, monitor: &mut DdosMonitor, alarms: &mut Vec<Alarm>) {
-        let top = w.top_k(monitor.policy().watch_top_k, monitor.policy().epsilon);
-        alarms.extend(monitor.evaluate_top(&top));
+/// # Panics
+///
+/// Panics when `policy` fails [`WindowPolicy::validate`].
+fn new_epoch_window(config: &SketchConfig, policy: &WindowPolicy) -> EpochWindow {
+    match EpochWindow::new(config.clone(), policy.clone()) {
+        Ok(window) => window,
+        Err(e) => panic!("invalid pipeline window policy: {e}"),
     }
-    match engine {
-        Some(eng) => match eng.merged() {
-            Ok(view) => match window {
-                Some(w) => match w.advance(view.sketch()) {
+}
+
+/// The monitor thread's detection state. Direct mode sketches inside
+/// `monitor`; sharded mode feeds a persistent worker `engine` and the
+/// monitor keeps only baselines and alarm state. Either mode may judge
+/// over an epoch `window` instead of the all-time sketch.
+struct MonitorState {
+    engine: Option<ShardedIngest>,
+    monitor: DdosMonitor,
+    window: Option<EpochWindow>,
+}
+
+impl MonitorState {
+    /// An empty state for `config`'s mode.
+    fn fresh(config: &PipelineConfig) -> Self {
+        Self {
+            engine: config
+                .ingest_shards
+                .map(|shards| ShardedIngest::new(config.sketch.clone(), shards.max(1))),
+            monitor: DdosMonitor::new(config.sketch.clone(), config.policy.clone()),
+            window: config
+                .window
+                .as_ref()
+                .map(|wp| new_epoch_window(&config.sketch, wp)),
+        }
+    }
+
+    /// The starting state: resumed from the checkpoint file when one
+    /// exists and fits, else fresh. Any problem — a missing file aside —
+    /// degrades to a fresh start with one warning on stderr: a monitor
+    /// must never refuse to boot because its own recovery file is
+    /// damaged or stale. Returns whether the state was restored.
+    fn start(manager: Option<&CheckpointManager>, config: &PipelineConfig) -> (Self, bool) {
+        let Some(manager) = manager else {
+            return (Self::fresh(config), false);
+        };
+        let resumed = match manager.try_load() {
+            Ok(None) => return (Self::fresh(config), false),
+            Ok(Some(doc)) => Self::resume(doc, config),
+            Err(e) => Err(format!("unreadable ({e})")),
+        };
+        match resumed {
+            Ok(state) => (state, true),
+            Err(reason) => {
+                eprintln!(
+                    "checkpoint {}: {reason}; starting fresh",
+                    manager.path().display()
+                );
+                (Self::fresh(config), false)
+            }
+        }
+    }
+
+    /// Rebuilds the state from the document kind `config`'s mode
+    /// writes (see [`checkpoint`](Self::checkpoint)), or says
+    /// why it cannot.
+    ///
+    /// A sharded document resumes with *its own* shard count (routing
+    /// is part of the persisted stream position), which may differ from
+    /// the configured one; a window over it starts empty. A window
+    /// document restores the ring, accumulator and epoch base
+    /// bit-exactly. Alarm baselines always re-warm.
+    fn resume(doc: Checkpoint, config: &PipelineConfig) -> Result<Self, String> {
+        let sketch = &config.sketch;
+        let policy = config.policy.clone();
+        let mismatch = || "sketch configuration differs from the pipeline's".to_string();
+        let rejected = |e: &dyn std::fmt::Display| format!("restored state rejected ({e})");
+        match (doc, config.ingest_shards, &config.window) {
+            (Checkpoint::Sharded(doc), Some(_), window_policy) => {
+                if doc.shards.first().map(|s| &s.config) != Some(sketch) {
+                    return Err(mismatch());
+                }
+                let mut engine = ShardedIngest::from_checkpoint(doc).map_err(|e| rejected(&e))?;
+                // The sharded document carries no ring: rebase the
+                // window onto the restored cumulative so the first
+                // epoch covers only post-restore traffic.
+                let mut window = window_policy
+                    .as_ref()
+                    .map(|wp| new_epoch_window(sketch, wp));
+                if let Some(w) = &mut window {
+                    match engine.merged() {
+                        Ok(view) => w.rebase(view.sketch()),
+                        Err(e) => eprintln!("sharded merge failed during window rebase: {e}"),
+                    }
+                }
+                Ok(Self {
+                    engine: Some(engine),
+                    monitor: DdosMonitor::new(sketch.clone(), policy),
+                    window,
+                })
+            }
+            (Checkpoint::Window(doc), None, Some(window_policy)) => {
+                if doc.current.sketch.config != *sketch {
+                    return Err(mismatch());
+                }
+                let (window, current) = EpochWindow::from_checkpoint(doc, window_policy.clone())
+                    .map_err(|e| rejected(&e))?;
+                Ok(Self {
+                    engine: None,
+                    monitor: DdosMonitor::with_sketch(current, policy),
+                    window: Some(window),
+                })
+            }
+            (Checkpoint::Tracking(state), None, None) => {
+                if state.sketch.config != *sketch {
+                    return Err(mismatch());
+                }
+                let current = TrackingDcs::from_state(state).map_err(|e| rejected(&e))?;
+                Ok(Self {
+                    engine: None,
+                    monitor: DdosMonitor::with_sketch(current, policy),
+                    window: None,
+                })
+            }
+            (other, shards, window) => {
+                let expected = match (shards, window) {
+                    (Some(_), _) => "a sharded ingest",
+                    (None, Some(_)) => "a window",
+                    (None, None) => "a tracking sketch",
+                };
+                Err(format!(
+                    "holds a {} document, not {expected}",
+                    other.kind_name()
+                ))
+            }
+        }
+    }
+
+    /// Feeds one boundary-cut sub-batch to the engine or the monitor.
+    fn ingest(&mut self, updates: &[FlowUpdate]) {
+        match &mut self.engine {
+            Some(eng) => eng.ingest(updates),
+            None => self.monitor.ingest_batch(updates),
+        }
+    }
+
+    /// One alarm evaluation at an ingest boundary: direct mode judges
+    /// the monitor's own sketch; sharded mode flushes the engine and
+    /// judges the merged snapshot (a merge failure — unreachable with
+    /// one shared configuration — degrades to a warning, never a lost
+    /// pipeline).
+    ///
+    /// In windowed mode the boundary also closes an epoch: the
+    /// cumulative sketch (the monitor's own, or the merged view) is
+    /// differenced against the epoch base, the window slides in O(1),
+    /// and the alarm rules judge the windowed top-k instead of the
+    /// all-time view. A window failure — unreachable under the
+    /// pipeline's invariants — degrades to a warning and a skipped
+    /// judgment, never a lost pipeline.
+    fn evaluate(&mut self, alarms: &mut Vec<Alarm>) {
+        fn judge_window_top(w: &EpochWindow, monitor: &mut DdosMonitor, alarms: &mut Vec<Alarm>) {
+            let top = w.top_k(monitor.policy().watch_top_k, monitor.policy().epsilon);
+            alarms.extend(monitor.evaluate_top(&top));
+        }
+        let monitor = &mut self.monitor;
+        match &mut self.engine {
+            Some(eng) => match eng.merged() {
+                Ok(view) => match &mut self.window {
+                    Some(w) => match w.advance(view.sketch()) {
+                        Ok(()) => judge_window_top(w, monitor, alarms),
+                        Err(e) => eprintln!("window slide failed during evaluation: {e}"),
+                    },
+                    None => alarms.extend(monitor.evaluate_snapshot(&view)),
+                },
+                Err(e) => eprintln!("sharded merge failed during evaluation: {e}"),
+            },
+            None => match &mut self.window {
+                Some(w) => match w.advance(monitor.sketch().sketch()) {
                     Ok(()) => judge_window_top(w, monitor, alarms),
                     Err(e) => eprintln!("window slide failed during evaluation: {e}"),
                 },
-                None => alarms.extend(monitor.evaluate_snapshot(&view)),
+                None => alarms.extend(monitor.evaluate()),
             },
-            Err(e) => eprintln!("sharded merge failed during evaluation: {e}"),
-        },
-        None => match window {
-            Some(w) => match w.advance(monitor.sketch().sketch()) {
-                Ok(()) => judge_window_top(w, monitor, alarms),
-                Err(e) => eprintln!("window slide failed during evaluation: {e}"),
-            },
-            None => alarms.extend(monitor.evaluate()),
-        },
-    }
-}
-
-/// The telemetry snapshot exported at a boundary: the monitor's own in
-/// direct mode; the engine's (queue depth, merge latency, cursors —
-/// non-blocking, from published partials) plus the monitor's evaluation
-/// counter in sharded mode.
-fn boundary_snapshot(
-    engine: &Option<ShardedIngest>,
-    monitor: &DdosMonitor,
-    window: &Option<EpochWindow>,
-    label: &str,
-) -> TelemetrySnapshot {
-    let mut snap = match engine {
-        Some(eng) => {
-            let mut snap = eng.telemetry_snapshot(label);
-            snap.set_counter("monitor_evaluations", monitor.evaluations());
-            snap
         }
-        None => monitor.telemetry_snapshot(label),
-    };
-    if let Some(w) = window {
-        let ring = w.window();
-        snap.set_counter(
-            "window_epochs_held",
-            u64::try_from(ring.len()).unwrap_or(u64::MAX),
-        );
-        snap.set_counter(
-            "window_epochs_capacity",
-            u64::try_from(ring.epochs()).unwrap_or(u64::MAX),
-        );
-        snap.set_counter("window_epochs_rotated", ring.epochs_rotated());
     }
-    snap
-}
 
-/// The checkpoint document saved at a boundary: the monitor's tracking
-/// sketch in direct mode; in sharded mode the engine's flushed
-/// ring-drained shard states (never in-flight items), so a restore
-/// resumes routing from exactly the persisted cursor.
-///
-/// Direct windowed mode persists the full window document instead —
-/// ring, accumulator, epoch base, and the cumulative sketch — so a
-/// resumed run's windowed judgments stay bit-identical to an
-/// uninterrupted one. Sharded mode keeps the sharded document even when
-/// windowed (routing cursors are the resumable state there); the window
-/// re-warms over the next N epochs after a restore.
-fn boundary_checkpoint(
-    engine: &mut Option<ShardedIngest>,
-    monitor: &DdosMonitor,
-    window: &Option<EpochWindow>,
-) -> Checkpoint {
-    match (engine, window) {
-        (Some(eng), _) => Checkpoint::Sharded(eng.checkpoint()),
-        (None, Some(w)) => Checkpoint::Window(w.to_checkpoint(monitor.sketch())),
-        (None, None) => Checkpoint::Tracking(monitor.sketch().to_state()),
+    /// The telemetry snapshot exported at a boundary: the monitor's own
+    /// in direct mode; the engine's (queue depth, merge latency, cursors
+    /// — non-blocking, from published partials) plus the monitor's
+    /// evaluation counter in sharded mode; the window gauges on top
+    /// when windowed.
+    fn snapshot(&self, label: &str) -> TelemetrySnapshot {
+        let mut snap = match &self.engine {
+            Some(eng) => {
+                let mut snap = eng.telemetry_snapshot(label);
+                snap.set_counter("monitor_evaluations", self.monitor.evaluations());
+                snap
+            }
+            None => self.monitor.telemetry_snapshot(label),
+        };
+        if let Some(w) = &self.window {
+            w.set_gauges(&mut snap);
+        }
+        snap
+    }
+
+    /// The checkpoint document saved at a boundary: the monitor's
+    /// tracking sketch in direct mode; in sharded mode the engine's
+    /// flushed ring-drained shard states (never in-flight items), so a
+    /// restore resumes routing from exactly the persisted cursor.
+    ///
+    /// Direct windowed mode persists the full window document instead —
+    /// ring, accumulator, epoch base, and the cumulative sketch — so a
+    /// resumed run's windowed judgments stay bit-identical to an
+    /// uninterrupted one. Sharded mode keeps the sharded document even
+    /// when windowed (routing cursors are the resumable state there);
+    /// the window re-warms over the next N epochs after a restore.
+    fn checkpoint(&mut self) -> Checkpoint {
+        match (&mut self.engine, &self.window) {
+            (Some(eng), _) => Checkpoint::Sharded(eng.checkpoint()),
+            (None, Some(w)) => Checkpoint::Window(w.to_checkpoint(self.monitor.sketch())),
+            (None, None) => Checkpoint::Tracking(self.monitor.sketch().to_state()),
+        }
     }
 }
 
@@ -540,162 +494,108 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
     }
     drop(update_tx);
 
-    let monitor_handle = {
-        let sketch = config.sketch.clone();
-        let policy = config.policy.clone();
+    let monitor_handle = thread::spawn(move || {
+        if let Some(wp) = &config.window {
+            if let Err(e) = wp.validate() {
+                panic!("invalid pipeline window policy: {e}");
+            }
+        }
+        let mut ckpt_manager = config
+            .checkpoint
+            .as_ref()
+            .map(|c| CheckpointManager::new(&c.path));
+        let (mut state, restored) = MonitorState::start(ckpt_manager.as_ref(), &config);
+        let mut ckpt_stats = CheckpointStats::default();
+        // A failed sidecar must not kill the detection run: report on
+        // stderr and carry on without telemetry.
+        let mut exporter = config.telemetry.as_ref().and_then(|s| {
+            JsonlExporter::create(&s.path)
+                .map_err(|e| eprintln!("telemetry sidecar {}: {e}", s.path.display()))
+                .ok()
+        });
         let evaluate_every = config.evaluate_every.max(1);
-        let sidecar = config.telemetry.clone();
-        let ckpt_sidecar = config.checkpoint.clone();
-        let ingest_shards = config.ingest_shards;
-        let window_policy = config.window.clone();
-        thread::spawn(move || {
-            if let Some(wp) = &window_policy {
-                if let Err(e) = wp.validate() {
-                    panic!("invalid pipeline window policy: {e}");
+        let snapshot_every = config
+            .telemetry
+            .as_ref()
+            .map_or(u64::MAX, |s| s.every.max(1));
+        let checkpoint_every = config
+            .checkpoint
+            .as_ref()
+            .map_or(u64::MAX, |c| c.every.max(1));
+        let mut alarms = Vec::new();
+        let mut ingested = 0u64;
+        let mut next_eval = evaluate_every;
+        let mut next_snapshot = snapshot_every;
+        let mut next_checkpoint = checkpoint_every;
+        for batch in update_rx {
+            // Feed the batched fast path in sub-chunks that stop exactly
+            // at the next evaluation/snapshot/checkpoint boundary, so
+            // alarms, snapshots, and checkpoints fire at the same
+            // ingested counts as a per-update loop.
+            let mut offset = 0usize;
+            while offset < batch.len() {
+                let remaining = batch.len() - offset;
+                let until_boundary = next_eval
+                    .saturating_sub(ingested)
+                    .min(next_snapshot.saturating_sub(ingested))
+                    .min(next_checkpoint.saturating_sub(ingested));
+                let take = usize::try_from(until_boundary)
+                    .unwrap_or(remaining)
+                    .min(remaining);
+                state.ingest(&batch[offset..offset + take]);
+                offset += take;
+                ingested += take as u64;
+                if ingested >= next_eval {
+                    state.evaluate(&mut alarms);
+                    next_eval += evaluate_every;
+                }
+                if ingested >= next_snapshot {
+                    if exporter.is_some() {
+                        export_snapshot(
+                            &mut exporter,
+                            state.snapshot("pipeline"),
+                            ckpt_manager.as_ref().map(|_| &ckpt_stats),
+                        );
+                    }
+                    next_snapshot += snapshot_every;
+                }
+                if ingested >= next_checkpoint {
+                    if ckpt_manager.is_some() {
+                        let doc = state.checkpoint();
+                        write_checkpoint(&mut ckpt_manager, &doc, &mut ckpt_stats);
+                    }
+                    next_checkpoint += checkpoint_every;
                 }
             }
-            let mut ckpt_manager = ckpt_sidecar
-                .as_ref()
-                .map(|c| CheckpointManager::new(&c.path));
-            // Sharded mode: a persistent worker engine does the
-            // sketching and the monitor keeps baseline/alarm state,
-            // judging merged snapshots at evaluation boundaries.
-            let (mut engine, mut monitor, mut window, restored) = match ingest_shards {
-                Some(shards) => {
-                    let (mut engine, restored) = match &ckpt_manager {
-                        Some(manager) => restore_sharded(manager, &sketch, shards.max(1)),
-                        None => (ShardedIngest::new(sketch.clone(), shards.max(1)), false),
-                    };
-                    let mut window = window_policy
-                        .as_ref()
-                        .map(|wp| new_epoch_window(&sketch, wp));
-                    // After a sharded restore the window starts empty
-                    // (the sharded document carries no ring); rebase it
-                    // onto the restored cumulative so the first epoch
-                    // covers only post-restore traffic.
-                    if restored {
-                        if let Some(w) = &mut window {
-                            match engine.merged() {
-                                Ok(view) => w.rebase(view.sketch()),
-                                Err(e) => {
-                                    eprintln!("sharded merge failed during window rebase: {e}");
-                                }
-                            }
-                        }
-                    }
-                    (
-                        Some(engine),
-                        DdosMonitor::new(sketch.clone(), policy),
-                        window,
-                        restored,
-                    )
-                }
-                None => match &window_policy {
-                    Some(wp) => {
-                        let (window, monitor, restored) = match &ckpt_manager {
-                            Some(manager) => restore_window(manager, &sketch, policy, wp),
-                            None => (
-                                new_epoch_window(&sketch, wp),
-                                DdosMonitor::new(sketch.clone(), policy),
-                                false,
-                            ),
-                        };
-                        (None, monitor, Some(window), restored)
-                    }
-                    None => {
-                        let (monitor, restored) = match &ckpt_manager {
-                            Some(manager) => restore_monitor(manager, &sketch, policy),
-                            None => (DdosMonitor::new(sketch.clone(), policy), false),
-                        };
-                        (None, monitor, None, restored)
-                    }
-                },
-            };
-            let mut ckpt_stats = CheckpointStats::default();
-            // A failed sidecar must not kill the detection run: report
-            // on stderr and carry on without telemetry.
-            let mut exporter = sidecar.as_ref().and_then(|s| {
-                JsonlExporter::create(&s.path)
-                    .map_err(|e| eprintln!("telemetry sidecar {}: {e}", s.path.display()))
-                    .ok()
-            });
-            let snapshot_every = sidecar.map_or(u64::MAX, |s| s.every.max(1));
-            let checkpoint_every = ckpt_sidecar.map_or(u64::MAX, |c| c.every.max(1));
-            let mut alarms = Vec::new();
-            let mut ingested = 0u64;
-            let mut next_eval = evaluate_every;
-            let mut next_snapshot = snapshot_every;
-            let mut next_checkpoint = checkpoint_every;
-            for batch in update_rx {
-                // Feed the batched fast path in sub-chunks that stop
-                // exactly at the next evaluation/snapshot/checkpoint
-                // boundary, so alarms, snapshots, and checkpoints fire
-                // at the same ingested counts as a per-update loop.
-                let mut offset = 0usize;
-                while offset < batch.len() {
-                    let remaining = batch.len() - offset;
-                    let until_boundary = next_eval
-                        .saturating_sub(ingested)
-                        .min(next_snapshot.saturating_sub(ingested))
-                        .min(next_checkpoint.saturating_sub(ingested));
-                    let take = usize::try_from(until_boundary)
-                        .unwrap_or(remaining)
-                        .min(remaining);
-                    match &mut engine {
-                        Some(eng) => eng.ingest(&batch[offset..offset + take]),
-                        None => monitor.ingest_batch(&batch[offset..offset + take]),
-                    }
-                    offset += take;
-                    ingested += take as u64;
-                    if ingested >= next_eval {
-                        evaluate_boundary(&mut engine, &mut monitor, &mut window, &mut alarms);
-                        next_eval += evaluate_every;
-                    }
-                    if ingested >= next_snapshot {
-                        if exporter.is_some() {
-                            let snap = boundary_snapshot(&engine, &monitor, &window, "pipeline");
-                            export_snapshot(
-                                &mut exporter,
-                                snap,
-                                ckpt_manager.as_ref().map(|_| &ckpt_stats),
-                            );
-                        }
-                        next_snapshot += snapshot_every;
-                    }
-                    if ingested >= next_checkpoint {
-                        if ckpt_manager.is_some() {
-                            let doc = boundary_checkpoint(&mut engine, &monitor, &window);
-                            write_checkpoint(&mut ckpt_manager, &doc, &mut ckpt_stats);
-                        }
-                        next_checkpoint += checkpoint_every;
-                    }
-                }
+        }
+        state.evaluate(&mut alarms);
+        // One final checkpoint so a clean shutdown is resumable too.
+        if ckpt_manager.is_some() {
+            let doc = state.checkpoint();
+            write_checkpoint(&mut ckpt_manager, &doc, &mut ckpt_stats);
+        }
+        if exporter.is_some() {
+            export_snapshot(
+                &mut exporter,
+                state.snapshot("pipeline_final"),
+                ckpt_manager.as_ref().map(|_| &ckpt_stats),
+            );
+        }
+        // Hand the final merged sketch to the monitor so the returned
+        // report is inspectable the usual way.
+        let MonitorState {
+            engine,
+            mut monitor,
+            ..
+        } = state;
+        if let Some(mut eng) = engine {
+            match eng.merged() {
+                Ok(view) => monitor.adopt_sketch(view),
+                Err(e) => eprintln!("sharded merge failed at shutdown: {e}"),
             }
-            evaluate_boundary(&mut engine, &mut monitor, &mut window, &mut alarms);
-            // One final checkpoint so a clean shutdown is resumable too.
-            if ckpt_manager.is_some() {
-                let doc = boundary_checkpoint(&mut engine, &monitor, &window);
-                write_checkpoint(&mut ckpt_manager, &doc, &mut ckpt_stats);
-            }
-            if exporter.is_some() {
-                let snap = boundary_snapshot(&engine, &monitor, &window, "pipeline_final");
-                export_snapshot(
-                    &mut exporter,
-                    snap,
-                    ckpt_manager.as_ref().map(|_| &ckpt_stats),
-                );
-            }
-            // Hand the final merged sketch to the monitor so the
-            // returned report is inspectable the usual way.
-            if let Some(eng) = &mut engine {
-                match eng.merged() {
-                    Ok(view) => monitor.adopt_sketch(view),
-                    Err(e) => eprintln!("sharded merge failed at shutdown: {e}"),
-                }
-            }
-            (monitor, alarms, ingested, ckpt_stats.written, restored)
-        })
-    };
+        }
+        (monitor, alarms, ingested, ckpt_stats.written, restored)
+    });
 
     // Join failures carry the worker's own panic payload; re-raise it
     // (as `ingest_sharded` does) instead of masking it with a generic
@@ -1100,5 +1000,65 @@ mod tests {
         assert!(last.contains("\"window_epochs_held\""));
         assert!(last.contains("\"window_epochs_capacity\":3"));
         assert!(last.contains("\"window_epochs_rotated\""));
+        let heap_bytes: u64 = last
+            .split("\"window_heap_bytes\":")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|digits| digits.parse().ok())
+            .expect("window_heap_bytes gauge");
+        assert!(heap_bytes > 0, "{last}");
+    }
+
+    #[test]
+    fn checkpoint_of_another_mode_degrades_to_fresh_start() {
+        // (mode, ingest_shards, window): each mode reads a document of
+        // the kind another mode writes, which must start fresh.
+        type Mode = (&'static str, Option<usize>, Option<WindowPolicy>);
+        let direct: Mode = ("direct", None, None);
+        let sharded: Mode = ("sharded", Some(2), None);
+        let windowed: Mode = ("windowed", None, Some(WindowPolicy::Sliding { epochs: 2 }));
+        let cases = [
+            (direct.clone(), sharded.clone()),
+            (sharded, windowed.clone()),
+            (windowed, direct),
+        ];
+        for (writer, reader) in cases {
+            let path = std::env::temp_dir().join(format!(
+                "dcs_pipeline_cross_mode_{}_{}.ckpt",
+                writer.0,
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let run = |mode: &Mode, driver: TrafficDriver| {
+                let mut driver = driver;
+                driver.syn_flood(DestAddr(0x0a000010), 600);
+                let mut cfg = config(300);
+                cfg.ingest_shards = mode.1;
+                cfg.window = mode.2.clone();
+                cfg.checkpoint = Some(CheckpointSidecar {
+                    path: path.clone(),
+                    every: 10_000,
+                });
+                run_pipeline(vec![driver.into_segments()], cfg)
+            };
+            let first = run(&writer, TrafficDriver::new(90));
+            assert!(first.checkpoints_written >= 1, "{}", writer.0);
+            let second = run(
+                &reader,
+                TrafficDriver::new(91).with_source_base(0x7000_0000),
+            );
+            assert!(
+                !second.restored_from_checkpoint,
+                "{} checkpoint restored into {} mode",
+                writer.0, reader.0
+            );
+            assert!(
+                second.alarmed_destinations().contains(&0x0a00_0010),
+                "{} mode after a {} checkpoint missed the flood",
+                reader.0,
+                writer.0
+            );
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Sliding-window detection: a ring of per-epoch delta sketches with
 //! O(1) slide.
 //!
-//! The epoch snapshot ring ([`crate::epoch`]) gives coarse *tumbling*
-//! windows: a pulse-wave attack that bursts and tears down within one
-//! interval averages out to nothing at every interval boundary and is
-//! never seen. The fix (ROADMAP item 1, grounded in *Memento: Making
+//! A *tumbling* window ([`WindowPolicy::Tumbling`]) judges each epoch
+//! on its own: a pulse-wave attack that bursts and tears down within
+//! one interval averages out to nothing at every interval boundary and
+//! is never seen. The fix (ROADMAP item 1, grounded in *Memento: Making
 //! Sliding Windows Efficient for Heavy Hitters*) is a window that
 //! *slides* one epoch at a time while covering N epochs.
 //!
@@ -27,6 +27,7 @@
 
 use std::collections::VecDeque;
 
+use dcs_core::cast::u64_from_usize;
 use dcs_core::{
     DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TopKEstimate, TrackingDcs,
 };
@@ -339,7 +340,7 @@ impl EpochWindow {
     /// a persistable document.
     pub fn to_checkpoint(&self, current: &TrackingDcs) -> WindowCheckpoint {
         WindowCheckpoint {
-            epochs: u64::try_from(self.window.epochs).unwrap_or(u64::MAX),
+            epochs: u64_from_usize(self.window.epochs),
             epochs_rotated: self.window.epochs_rotated,
             current: current.to_state(),
             base: self.base.to_state(),
@@ -372,7 +373,7 @@ impl EpochWindow {
     ) -> Result<(Self, TrackingDcs), PersistError> {
         policy.validate().map_err(PersistError::State)?;
         let epochs = policy.epochs();
-        if u64::try_from(epochs).unwrap_or(u64::MAX) != checkpoint.epochs {
+        if u64_from_usize(epochs) != checkpoint.epochs {
             return Err(PersistError::Incompatible {
                 reason: format!(
                     "checkpoint window covers {} epoch(s) but the policy wants {epochs}",
@@ -427,6 +428,15 @@ impl EpochWindow {
     /// Heap bytes across the window and the epoch base.
     pub fn heap_bytes(&self) -> usize {
         self.window.heap_bytes() + self.base.heap_bytes()
+    }
+
+    /// Writes the window gauges into `snap`: ring depth, capacity,
+    /// rotations, and [`heap_bytes`](Self::heap_bytes).
+    pub fn set_gauges(&self, snap: &mut TelemetrySnapshot) {
+        snap.set_counter("window_epochs_held", u64_from_usize(self.window.len()));
+        snap.set_counter("window_epochs_capacity", u64_from_usize(self.window.epochs));
+        snap.set_counter("window_epochs_rotated", self.window.epochs_rotated);
+        snap.set_counter("window_heap_bytes", u64_from_usize(self.heap_bytes()));
     }
 }
 
@@ -576,20 +586,7 @@ impl WindowedMonitor {
     /// gauges — ring depth, capacity, rotations, and window heap bytes.
     pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
         let mut snap = self.monitor.telemetry_snapshot(label);
-        let window = self.epoch_window.window();
-        snap.set_counter(
-            "window_epochs_held",
-            u64::try_from(window.len()).unwrap_or(u64::MAX),
-        );
-        snap.set_counter(
-            "window_epochs_capacity",
-            u64::try_from(window.epochs()).unwrap_or(u64::MAX),
-        );
-        snap.set_counter("window_epochs_rotated", window.epochs_rotated());
-        snap.set_counter(
-            "window_heap_bytes",
-            u64::try_from(self.epoch_window.heap_bytes()).unwrap_or(u64::MAX),
-        );
+        self.epoch_window.set_gauges(&mut snap);
         snap
     }
 }

@@ -4,17 +4,17 @@
 //! Two things the plain all-time sketch cannot do on its own:
 //!
 //! 1. Spot a *surge* at a destination whose all-time total is
-//!    unremarkable — solved by differencing against an epoch snapshot
-//!    (sketches are linear).
+//!    unremarkable — solved by differencing the all-time sketch against
+//!    its state at the last epoch boundary (sketches are linear).
 //! 2. Catch a Kuzmanovic–Knightly-style low-rate *pulse* attack whose
 //!    long-run average is tiny — the within-burst window shows the
 //!    spike that coarse averages hide.
 //!
 //! Run: `cargo run --release --example surge_detection`
 
-use ddos_streams::netsim::epoch::EpochManager;
+use ddos_streams::netsim::{EpochWindow, WindowPolicy};
 use ddos_streams::streamgen::timeline::TimelineBuilder;
-use ddos_streams::{DestAddr, SketchConfig};
+use ddos_streams::{DestAddr, SketchConfig, TrackingDcs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let steady_heavy = 0x0a00_0001u32; // always-busy destination
@@ -51,34 +51,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .buckets_per_table(1024)
         .seed(99)
         .build()?;
-    let mut epochs = EpochManager::new(config, 8);
+    let mut all_time_sketch = TrackingDcs::new(config.clone());
+    let mut window = EpochWindow::new(config, WindowPolicy::Tumbling)?;
 
-    let epoch_ticks = 100u64;
+    // Epochs of half the 100-tick pulse period: a pulse burst is alive
+    // in the first half of its period and torn down by the end, so the
+    // burst and its teardown close in different epochs. Whole-period
+    // epochs would always net the burst out.
+    let epoch_ticks = 50u64;
     let mut next_rotation = epoch_ticks;
-    // Check the open-epoch window mid-epoch: a pulse burst is alive
-    // inside its period and torn down by its end, so end-of-epoch
-    // checks would always miss it.
-    let mut next_check = epoch_ticks / 2;
     let mut pulse_caught_in_window = false;
 
     for timed in &all {
-        while timed.at >= next_check {
-            let recent = epochs.recent_top_k(1, 3, 0.25)?;
+        while timed.at >= next_rotation {
+            window.advance(all_time_sketch.sketch())?;
+            let recent = window.top_k(3, 0.25);
             if recent.frequency_of(pulse_victim).unwrap_or(0) >= 150 {
                 pulse_caught_in_window = true;
             }
-            next_check += epoch_ticks;
-        }
-        while timed.at >= next_rotation {
-            epochs.rotate();
             next_rotation += epoch_ticks;
         }
-        epochs.ingest(timed.update);
+        all_time_sketch.update(timed.update);
     }
+    // End of run: close the final epoch (the surge's) and compare views.
+    window.advance(all_time_sketch.sketch())?;
 
-    // End of run: the surge epoch is open. Compare views.
-    let all_time = epochs.all_time().track_top_k(3, 0.25);
-    let last_window = epochs.recent_top_k(1, 3, 0.25)?;
+    let all_time = all_time_sketch.track_top_k(3, 0.25);
+    let last_window = window.top_k(3, 0.25);
 
     println!("all-time top destinations:");
     for e in &all_time.entries {
@@ -96,8 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The pulse attack was visible inside at least one epoch window.
     assert!(pulse_caught_in_window, "pulse attack went unnoticed");
     // Yet its long-run residue is ~zero (bursts tear down):
-    let residue = epochs
-        .all_time()
+    let residue = all_time_sketch
         .track_top_k(10, 0.25)
         .frequency_of(pulse_victim)
         .unwrap_or(0);

@@ -6,17 +6,18 @@
 //! same top-k — to a sketch that processed all `n` updates without
 //! interruption. These tests kill runs at deliberately awkward offsets
 //! (mid-`update_batch` chunk, one update in, one update before the
-//! end, across an epoch `rotate()`) and check exact state equality
+//! end, across a window `rotate()`) and check exact state equality
 //! after the restored run replays its suffix, going through real
 //! checkpoint files on disk each time.
 
 use std::path::PathBuf;
 
-use ddos_streams::netsim::epoch::EpochManager;
 use ddos_streams::netsim::sharded::ShardedIngest;
+use ddos_streams::netsim::{WindowPolicy, WindowedMonitor};
 use ddos_streams::persist::{Checkpoint, CheckpointManager};
 use ddos_streams::{
-    Delta, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SourceAddr, TrackingDcs,
+    AlarmPolicy, Delta, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SourceAddr,
+    TrackingDcs,
 };
 
 fn config(seed: u64) -> SketchConfig {
@@ -143,46 +144,54 @@ fn restore_mid_stream_then_immediate_checkpoint_is_stable() {
 }
 
 #[test]
-fn epoch_manager_survives_a_kill_across_rotations() {
+fn windowed_monitor_survives_a_kill_across_rotations() {
     let updates = stream(6_000);
+    let window_policy = WindowPolicy::Sliding { epochs: 3 };
+    let monitor =
+        || WindowedMonitor::new(config(4), AlarmPolicy::default(), window_policy.clone()).unwrap();
     // Uninterrupted: rotate every 1500 updates.
-    let mut full = EpochManager::new(config(4), 3);
+    let mut full = monitor();
     for (i, u) in updates.iter().enumerate() {
-        full.ingest(*u);
+        full.ingest_one(*u);
         if (i + 1) % 1_500 == 0 {
-            full.rotate();
+            full.rotate().unwrap();
         }
     }
     // Kill at several points: mid-epoch, immediately after a rotate()
     // (the ring just changed), and immediately before one.
     for cut in [700usize, 3_000, 2_999, 4_501] {
-        let mut prefix = EpochManager::new(config(4), 3);
+        let mut prefix = monitor();
         for (i, u) in updates[..cut].iter().enumerate() {
-            prefix.ingest(*u);
+            prefix.ingest_one(*u);
             if (i + 1) % 1_500 == 0 {
-                prefix.rotate();
+                prefix.rotate().unwrap();
             }
         }
-        let saved = through_disk("epoch", &Checkpoint::Epoch(prefix.to_checkpoint()));
+        let saved = through_disk("window", &Checkpoint::Window(prefix.to_checkpoint()));
         drop(prefix);
-        let Checkpoint::Epoch(checkpoint) = saved else {
+        let Checkpoint::Window(checkpoint) = saved else {
             panic!("wrong document kind");
         };
-        let mut resumed = EpochManager::from_checkpoint(checkpoint).unwrap();
+        let mut resumed = WindowedMonitor::from_checkpoint(
+            checkpoint,
+            AlarmPolicy::default(),
+            window_policy.clone(),
+        )
+        .unwrap();
         for (i, u) in updates[cut..].iter().enumerate() {
-            resumed.ingest(*u);
+            resumed.ingest_one(*u);
             if (cut + i + 1) % 1_500 == 0 {
-                resumed.rotate();
+                resumed.rotate().unwrap();
             }
         }
         assert_eq!(
             resumed.to_checkpoint(),
             full.to_checkpoint(),
-            "cut at {cut}: epoch state diverged"
+            "cut at {cut}: window state diverged"
         );
         assert_eq!(
-            resumed.recent_top_k(2, 5, 0.25).unwrap(),
-            full.recent_top_k(2, 5, 0.25).unwrap(),
+            resumed.windowed_top_k(5),
+            full.windowed_top_k(5),
             "cut at {cut}: windowed query diverged"
         );
     }

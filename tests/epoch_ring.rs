@@ -1,18 +1,17 @@
-//! Edge cases of the `EpochManager` snapshot ring, with and without a
-//! checkpoint round trip in the middle.
+//! Edge cases of the epoch window ring, with and without a checkpoint
+//! round trip in the middle.
 //!
 //! The ring is the subtlest state the checkpoint format carries: it
-//! wraps (oldest snapshots evicted), it can be partially filled, and
-//! windowed queries index it from the *end*. Each scenario here is run
-//! against a manager that has been serialized to bytes and restored,
-//! asserting the restored manager answers exactly like the original.
+//! wraps (oldest deltas subtracted out), it can be partially filled or
+//! empty, and its declared capacity must bound what a document holds.
+//! Each scenario here runs against a windowed monitor that has been
+//! serialized to bytes (the kind-5 `Window` document) and restored,
+//! asserting the restored monitor answers exactly like the original.
+//! Ring wrap and eviction order are pinned by `tests/window_equivalence.rs`.
 
-use ddos_streams::netsim::epoch::EpochManager;
-use ddos_streams::netsim::window::{WindowPolicy, WindowedMonitor};
+use ddos_streams::netsim::window::{EpochWindow, WindowPolicy, WindowedMonitor};
 use ddos_streams::persist::{decode, encode, Checkpoint, PersistError};
-use ddos_streams::{
-    AlarmPolicy, Delta, DestAddr, FlowUpdate, SketchConfig, SketchError, SourceAddr,
-};
+use ddos_streams::{AlarmPolicy, DestAddr, FlowUpdate, SketchConfig, SourceAddr};
 
 fn config() -> SketchConfig {
     SketchConfig::builder()
@@ -20,165 +19,6 @@ fn config() -> SketchConfig {
         .seed(21)
         .build()
         .unwrap()
-}
-
-fn flood(epochs: &mut EpochManager, dest: u32, from: u32, count: u32) {
-    for s in from..from + count {
-        epochs.ingest(FlowUpdate::new(
-            SourceAddr(s),
-            DestAddr(dest),
-            Delta::Insert,
-        ));
-    }
-}
-
-/// Serializes and restores a manager through the full codec.
-fn roundtrip(epochs: &EpochManager) -> EpochManager {
-    let bytes = encode(&Checkpoint::Epoch(epochs.to_checkpoint()));
-    let Checkpoint::Epoch(checkpoint) = decode(&bytes).unwrap() else {
-        panic!("wrong document kind");
-    };
-    EpochManager::from_checkpoint(checkpoint).unwrap()
-}
-
-#[test]
-fn wrapped_ring_restores_with_correct_eviction_order() {
-    // Capacity 3, 7 rotations: snapshots for epochs 5, 6, 7 remain.
-    let mut epochs = EpochManager::new(config(), 3);
-    for e in 0..7u32 {
-        flood(&mut epochs, e, e * 1_000, 20);
-        epochs.rotate();
-    }
-    assert_eq!(epochs.snapshots_held(), 3);
-    assert_eq!(epochs.epochs_rotated(), 7);
-    let restored = roundtrip(&epochs);
-    assert_eq!(restored.snapshots_held(), 3);
-    assert_eq!(restored.epochs_rotated(), 7);
-    assert_eq!(restored.to_checkpoint(), epochs.to_checkpoint());
-}
-
-#[test]
-fn windowed_query_spanning_the_wrap_survives_restore() {
-    // After the ring wraps, a window reaching to its oldest retained
-    // snapshot must see exactly the post-eviction epochs — identically
-    // before and after a checkpoint round trip.
-    let mut epochs = EpochManager::new(config(), 2);
-    for e in 0..5u32 {
-        flood(&mut epochs, e, e * 1_000, 30);
-        epochs.rotate();
-    }
-    flood(&mut epochs, 99, 50_000, 40); // open epoch
-    let restored = roundtrip(&epochs);
-    for window in [1usize, 2] {
-        assert_eq!(
-            restored.recent_top_k(window, 4, 0.25).unwrap(),
-            epochs.recent_top_k(window, 4, 0.25).unwrap(),
-            "window {window} diverged after restore"
-        );
-    }
-    // Window 2 reaches the oldest retained snapshot (epoch 4's close):
-    // epochs 0..=3 are invisible, destination 4 and 99 are.
-    let w2 = restored.recent_top_k(2, 6, 0.25).unwrap();
-    let mut groups = w2.groups();
-    groups.sort_unstable();
-    assert_eq!(groups, vec![4, 99]);
-    assert!(w2.frequency_of(0).is_none(), "evicted epoch leaked through");
-}
-
-#[test]
-fn difference_against_oldest_snapshot_is_exact_after_restore() {
-    // recent_activity(window = ring length) differences against the
-    // oldest snapshot; the restored manager must produce an identical
-    // difference sketch (same estimates, not just same ordering).
-    let mut epochs = EpochManager::new(config(), 4);
-    for e in 0..4u32 {
-        flood(&mut epochs, 7, e * 1_000, 25); // same dest every epoch
-        epochs.rotate();
-    }
-    flood(&mut epochs, 7, 100_000, 60);
-    let restored = roundtrip(&epochs);
-    let original = epochs.recent_activity(4).unwrap();
-    let recovered = restored.recent_activity(4).unwrap();
-    assert_eq!(
-        original.track_top_k(3, 0.25),
-        recovered.track_top_k(3, 0.25)
-    );
-    assert_eq!(original.to_state(), recovered.to_state());
-}
-
-#[test]
-fn partially_filled_ring_restores() {
-    // Fewer rotations than capacity: the checkpoint carries a short
-    // snapshot list that must restore as-is (not padded, not rejected).
-    let mut epochs = EpochManager::new(config(), 8);
-    flood(&mut epochs, 1, 0, 40);
-    epochs.rotate();
-    flood(&mut epochs, 2, 1_000, 40);
-    assert_eq!(epochs.snapshots_held(), 1);
-    let restored = roundtrip(&epochs);
-    assert_eq!(restored.snapshots_held(), 1);
-    assert_eq!(restored.epochs_rotated(), 1);
-    assert_eq!(
-        restored.recent_top_k(1, 2, 0.25).unwrap(),
-        epochs.recent_top_k(1, 2, 0.25).unwrap()
-    );
-}
-
-#[test]
-fn empty_ring_restores() {
-    // No rotations at all: snapshots list is empty, only the live
-    // sketch travels.
-    let mut epochs = EpochManager::new(config(), 4);
-    flood(&mut epochs, 3, 0, 50);
-    let restored = roundtrip(&epochs);
-    assert_eq!(restored.snapshots_held(), 0);
-    assert_eq!(restored.to_checkpoint(), epochs.to_checkpoint());
-}
-
-#[test]
-fn restored_manager_keeps_rotating_correctly() {
-    // The restored ring must continue evicting in the right order:
-    // rotate it past capacity after restore and compare against an
-    // uninterrupted manager fed the same schedule.
-    let mut full = EpochManager::new(config(), 3);
-    let mut prefix = EpochManager::new(config(), 3);
-    for e in 0..2u32 {
-        flood(&mut full, e, e * 1_000, 20);
-        flood(&mut prefix, e, e * 1_000, 20);
-        full.rotate();
-        prefix.rotate();
-    }
-    let mut restored = roundtrip(&prefix);
-    for e in 2..6u32 {
-        flood(&mut full, e, e * 1_000, 20);
-        flood(&mut restored, e, e * 1_000, 20);
-        full.rotate();
-        restored.rotate();
-    }
-    assert_eq!(restored.to_checkpoint(), full.to_checkpoint());
-}
-
-#[test]
-fn oversized_snapshot_list_is_rejected() {
-    let mut epochs = EpochManager::new(config(), 2);
-    for e in 0..2u32 {
-        flood(&mut epochs, e, e * 1_000, 10);
-        epochs.rotate();
-    }
-    let mut checkpoint = epochs.to_checkpoint();
-    // Claim a smaller ring than the snapshots present.
-    checkpoint.max_snapshots = 1;
-    assert!(matches!(
-        EpochManager::from_checkpoint(checkpoint),
-        Err(PersistError::Incompatible { .. })
-    ));
-
-    let mut zero = epochs.to_checkpoint();
-    zero.max_snapshots = 0;
-    assert!(matches!(
-        EpochManager::from_checkpoint(zero),
-        Err(PersistError::Incompatible { .. })
-    ));
 }
 
 /// Serializes a windowed monitor through the full codec (the kind-5
@@ -264,25 +104,43 @@ fn rotation_landing_exactly_on_checkpoint_save_resumes_identically() {
 }
 
 #[test]
-fn snapshot_ahead_rejection_propagates_through_windowed_queries() {
-    // A tampered checkpoint whose live sketch is an *earlier* state
-    // than a retained snapshot passes the structural validation (the
-    // configs match), but every windowed query that differences against
-    // the ahead snapshot must surface SnapshotAhead rather than return
-    // a wrapped (garbage) window.
-    let mut epochs = EpochManager::new(config(), 2);
-    flood(&mut epochs, 5, 0, 40);
-    epochs.rotate();
-    let mut checkpoint = epochs.to_checkpoint();
-    // Replace the live sketch with a state from before the snapshot.
-    checkpoint.current = EpochManager::new(config(), 2).to_checkpoint().current;
-    let tampered = EpochManager::from_checkpoint(checkpoint).unwrap();
+fn empty_ring_restores() {
+    // No rotations at all: the delta list is empty and only the live
+    // sketch carries traffic; the document must round-trip exactly.
+    let window_policy = WindowPolicy::Sliding { epochs: 4 };
+    let mut wm =
+        WindowedMonitor::new(config(), AlarmPolicy::default(), window_policy.clone()).unwrap();
+    for s in 0..50u32 {
+        wm.ingest_one(FlowUpdate::insert(SourceAddr(s), DestAddr(3)));
+    }
+    let restored = window_roundtrip(&wm, window_policy);
+    assert!(restored.window().is_empty());
+    assert_eq!(restored.window().epochs_rotated(), 0);
+    assert_eq!(restored.to_checkpoint(), wm.to_checkpoint());
+}
+
+#[test]
+fn oversized_delta_list_is_rejected() {
+    // A document holding more deltas than the ring capacity it declares
+    // cannot have come from a live window; it must be refused, not
+    // truncated.
+    let window_policy = WindowPolicy::Sliding { epochs: 2 };
+    let mut wm =
+        WindowedMonitor::new(config(), AlarmPolicy::default(), window_policy.clone()).unwrap();
+    for epoch in 0..2u32 {
+        for s in 0..10u32 {
+            wm.ingest_one(FlowUpdate::insert(
+                SourceAddr(epoch * 1_000 + s),
+                DestAddr(epoch),
+            ));
+        }
+        wm.rotate().unwrap();
+    }
+    let mut checkpoint = wm.to_checkpoint();
+    let extra = checkpoint.deltas[0].clone();
+    checkpoint.deltas.push(extra);
     assert!(matches!(
-        tampered.recent_activity(1),
-        Err(SketchError::SnapshotAhead { .. })
-    ));
-    assert!(matches!(
-        tampered.recent_top_k(1, 3, 0.25),
-        Err(SketchError::SnapshotAhead { .. })
+        EpochWindow::from_checkpoint(checkpoint, window_policy),
+        Err(PersistError::Incompatible { .. })
     ));
 }
