@@ -6,23 +6,6 @@ use dcs_hash::cast::{ceil_to_usize, f64_from_u64, f64_from_usize, usize_from_u32
 use crate::error::SketchError;
 use crate::types::GroupBy;
 
-/// Which hash family the second-level bucket hashes `g_j` use.
-///
-/// The paper's analysis (Lemma 4.1) only needs pairwise independence,
-/// which [`MultiplyShift`](HashFamily::MultiplyShift) provides at a few
-/// arithmetic instructions per evaluation. [`Tabulation`](HashFamily::Tabulation)
-/// is 3-independent with Chernoff-style concentration at the cost of
-/// 16 KiB of tables per function — the `ablation_hash` bench compares
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HashFamily {
-    /// Dietzfelbinger multiply-shift (pairwise independent, fastest).
-    #[default]
-    MultiplyShift,
-    /// Simple tabulation (3-independent, stronger concentration).
-    Tabulation,
-}
-
 /// Number of bits in a packed source-destination pair (`2·log m` for
 /// `m = 2^32`), and therefore the number of bit-location counters in each
 /// count signature.
@@ -40,6 +23,10 @@ pub const KEY_BITS: u32 = 64;
 ///
 /// The paper's experimental defaults (`r = 3`, `s = 128`) are
 /// [`SketchConfig::default`].
+///
+/// The second-level bucket hashes `g_j` are always multiply-shift
+/// ([`MultiplyShiftHash`](dcs_hash::MultiplyShiftHash)): the analysis
+/// (Lemma 4.1) only needs pairwise independence.
 ///
 /// # Examples
 ///
@@ -61,7 +48,6 @@ pub struct SketchConfig {
     max_levels: u32,
     seed: u64,
     group_by: GroupBy,
-    hash_family: HashFamily,
 }
 
 impl SketchConfig {
@@ -83,7 +69,6 @@ impl SketchConfig {
             max_levels: 64,
             seed: 0,
             group_by: GroupBy::Destination,
-            hash_family: HashFamily::MultiplyShift,
         }
     }
 
@@ -177,14 +162,9 @@ impl SketchConfig {
         self.group_by
     }
 
-    /// The second-level hash family.
-    pub fn hash_family(&self) -> HashFamily {
-        self.hash_family
-    }
-
     /// Returns this configuration with only the grouping orientation
-    /// replaced — every hash parameter (tables, buckets, levels, seed,
-    /// family) is preserved, so sketches built from the result ingest
+    /// replaced — every hash parameter (tables, buckets, levels, seed)
+    /// is preserved, so sketches built from the result ingest
     /// the same stream into bit-identical bucket layouts and differ
     /// only in how queries aggregate the sample. This is how the
     /// hierarchy tracker derives its /24 and /16 views from one base
@@ -235,7 +215,6 @@ pub struct SketchConfigBuilder {
     max_levels: u32,
     seed: u64,
     group_by: GroupBy,
-    hash_family: HashFamily,
 }
 
 impl SketchConfigBuilder {
@@ -249,7 +228,6 @@ impl SketchConfigBuilder {
             max_levels: defaults.max_levels,
             seed: defaults.seed,
             group_by: defaults.group_by,
-            hash_family: defaults.hash_family,
         }
     }
 
@@ -284,12 +262,6 @@ impl SketchConfigBuilder {
         self
     }
 
-    /// Sets the second-level hash family.
-    pub fn hash_family(&mut self, family: HashFamily) -> &mut Self {
-        self.hash_family = family;
-        self
-    }
-
     /// Validates the parameters and builds the configuration.
     ///
     /// # Errors
@@ -321,7 +293,6 @@ impl SketchConfigBuilder {
             max_levels: self.max_levels,
             seed: self.seed,
             group_by: self.group_by,
-            hash_family: self.hash_family,
         })
     }
 }

@@ -496,19 +496,6 @@ fn apply_bit_counters(counters: &mut [i64; BIT_COUNTERS], packed: u64, sign_word
 /// fixed-trip-count body over a known-length array.
 pub(crate) const SLAB_LANES: usize = 64;
 
-/// Slabs shorter than this run the scalar twin of each wide kernel.
-///
-/// Measured cutoff in the PR 6 auto-select mould (DESIGN.md §16 has
-/// the numbers): on dense slabs the two forms are within a few percent
-/// at every length (LLVM already auto-vectorizes the fused scalar
-/// loop), so the wide kernel's win is entirely the zero-chunk skip —
-/// measured 2.4–4.3× on slabs ≥ 4 chunks with 7/8 zero chunks, but a
-/// 5–11% loss under ~4 chunks where the per-chunk zero-probe
-/// bookkeeping cannot amortize. The screen-sum slab of a
-/// `r = 2, s = 128` level sits exactly at this boundary;
-/// `tests/read_equivalence.rs` pins bit-identity on both sides of it.
-pub const SLAB_WIDE_MIN: usize = 256;
-
 /// Generates one wide/scalar pair of element-wise slab kernels.
 ///
 /// The wide form walks the slabs in [`SLAB_LANES`]-wide fixed-width
@@ -517,17 +504,15 @@ pub const SLAB_WIDE_MIN: usize = 256;
 /// chunks whose source is entirely zero — wrapping add/sub of zero is
 /// the identity, so the skip is bit-invisible, and on the sparse high
 /// levels of a merge it avoids touching the destination line at all.
-/// Slabs under [`SLAB_WIDE_MIN`] dispatch to the scalar twin, which is
-/// also retained as the reference path for `tests/read_equivalence.rs`.
+/// The wide form runs at every slab length; the scalar twin is retained
+/// as the reference path for `tests/read_equivalence.rs`, the kernel
+/// tests below and the `read_guard` bench.
 macro_rules! slab_kernels {
     ($(#[$meta:meta])* $wide:ident, $scalar:ident, $ty:ty, $op:ident) => {
         $(#[$meta])*
         #[inline]
         pub(crate) fn $wide(dst: &mut [$ty], src: &[$ty]) {
             debug_assert_eq!(dst.len(), src.len());
-            if dst.len() < SLAB_WIDE_MIN {
-                return $scalar(dst, src);
-            }
             let mut dst_chunks = dst.chunks_exact_mut(SLAB_LANES);
             let mut src_chunks = src.chunks_exact(SLAB_LANES);
             for (d, s) in dst_chunks.by_ref().zip(src_chunks.by_ref()) {
@@ -1198,19 +1183,19 @@ mod tests {
             .collect()
     }
 
-    /// Lengths straddling every dispatch boundary of the wide kernels:
-    /// empty, sub-chunk, exact chunks, chunk+remainder, the
-    /// `SLAB_WIDE_MIN` cutoff ±1, and a multi-chunk slab.
+    /// Lengths straddling every chunk boundary of the wide kernels:
+    /// empty, sub-chunk, exact chunks, chunk+remainder, the 256-element
+    /// slab of an `r = 2, s = 128` level ±1, and a multi-chunk slab.
     const KERNEL_LENS: &[usize] = &[
         0,
         1,
         SLAB_LANES - 1,
         SLAB_LANES,
         SLAB_LANES + 1,
-        SLAB_WIDE_MIN - 1,
-        SLAB_WIDE_MIN,
-        SLAB_WIDE_MIN + 1,
-        SLAB_WIDE_MIN + SLAB_LANES + 17,
+        255,
+        256,
+        257,
+        337,
         1009,
     ];
 
@@ -1258,7 +1243,7 @@ mod tests {
 
     #[test]
     fn zero_skip_source_chunks_leave_destination_untouched() {
-        let len = SLAB_WIDE_MIN + SLAB_LANES;
+        let len = 320;
         let src = vec![0i64; len];
         let base = patterned_i64(len, 0x2bcd_ef01_2345_6789);
         let mut merged = base.clone();

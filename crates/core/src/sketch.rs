@@ -4,11 +4,11 @@ use std::collections::BTreeSet;
 
 use dcs_hash::cast::{u32_from_usize, u64_from_usize, usize_from_u32, usize_from_u64};
 use dcs_hash::mix::{fingerprint64, fingerprint64_fill};
-use dcs_hash::{GeometricLevelHash, Hash64, MultiplyShiftHash, SeedSequence, TabulationHash};
+use dcs_hash::{GeometricLevelHash, Hash64, MultiplyShiftHash, SeedSequence};
 
 use dcs_telemetry::{LevelGauges, TelemetrySnapshot};
 
-use crate::config::{HashFamily, SketchConfig};
+use crate::config::SketchConfig;
 use crate::error::SketchError;
 use crate::estimator::{
     frequencies_for_groups, group_frequencies, threshold_from_frequencies, top_k_from_frequencies,
@@ -34,18 +34,6 @@ pub const BATCH_CHUNK: usize = 1024;
 /// performance knob.
 pub const BATCH_MIN_ROUTED: usize = 32;
 
-/// Minimum table count at which the routed plan's apply pass groups
-/// updates by level before touching the arenas. Below it the apply runs
-/// in stream order: with `r = 2` at the paper's bucket count the hot
-/// arenas are cache-resident, so the counting sort plus its
-/// order-indirected loads cost more than the locality they buy, while
-/// from `r = 3` up the grouped visit keeps one level's arena hot
-/// instead of cycling all of them (measured on the bench host; see
-/// DESIGN.md §13). Either order yields bit-identical state — counter
-/// updates commute — so, like [`BATCH_MIN_ROUTED`], this is purely a
-/// performance knob.
-pub const LEVEL_GROUP_MIN_TABLES: usize = 3;
-
 /// Reusable scratch for one routed batch: fixed-capacity
 /// structure-of-arrays buffers filled by pass 1 (`route_chunk`) and
 /// consumed by pass 2. All stripes live in **one** boxed slab sized
@@ -66,8 +54,7 @@ pub const LEVEL_GROUP_MIN_TABLES: usize = 3;
 ///
 /// `buckets` is **table-major**: table `t`'s bucket for update `i`
 /// lives at stripe `4 + t`, index `i`, so pass 1 writes each table's
-/// stripe in one contiguous fill (one hash-family dispatch per table
-/// per chunk, not per key).
+/// stripe in one contiguous fill.
 #[derive(Debug)]
 pub(crate) struct BatchScratch {
     chunk_cap: usize,
@@ -202,44 +189,6 @@ impl DistinctSample {
     }
 }
 
-/// A second-level hash function of the configured [`HashFamily`].
-#[derive(Debug, Clone)]
-enum TableHash {
-    MultiplyShift(MultiplyShiftHash),
-    Tabulation(Box<TabulationHash>),
-}
-
-impl TableHash {
-    fn new(family: HashFamily, seed: u64) -> Self {
-        match family {
-            HashFamily::MultiplyShift => TableHash::MultiplyShift(MultiplyShiftHash::new(seed)),
-            HashFamily::Tabulation => TableHash::Tabulation(Box::new(TabulationHash::new(seed))),
-        }
-    }
-}
-
-impl Hash64 for TableHash {
-    #[inline]
-    fn hash(&self, key: u64) -> u64 {
-        match self {
-            TableHash::MultiplyShift(h) => h.hash(key),
-            TableHash::Tabulation(h) => h.hash(key),
-        }
-    }
-
-    /// Batched fill that hoists the family dispatch: one `match` per
-    /// *slice*, then the concrete family's monomorphized fill loop —
-    /// the per-key enum branch the scalar path pays disappears from the
-    /// routed batch plan entirely.
-    #[inline]
-    fn hash_to_range_fill(&self, keys: &[u64], range: usize, out: &mut [u64]) {
-        match self {
-            TableHash::MultiplyShift(h) => h.hash_to_range_fill(keys, range, out),
-            TableHash::Tabulation(h) => h.hash_to_range_fill(keys, range, out),
-        }
-    }
-}
-
 /// The Basic Distinct-Count Sketch (Fig. 2).
 ///
 /// A delete-resilient synopsis of a flow-update stream supporting
@@ -276,7 +225,7 @@ impl Hash64 for TableHash {
 pub struct DistinctCountSketch {
     config: SketchConfig,
     level_hash: GeometricLevelHash,
-    table_hashes: Vec<TableHash>,
+    table_hashes: Vec<MultiplyShiftHash>,
     levels: Vec<Option<LevelState>>,
     updates_processed: u64,
     net_updates: i64,
@@ -292,7 +241,7 @@ impl DistinctCountSketch {
         let mut seeds = SeedSequence::new(config.seed());
         let level_hash = GeometricLevelHash::new(seeds.next_seed(), config.max_levels());
         let table_hashes = (0..config.num_tables())
-            .map(|_| TableHash::new(config.hash_family(), seeds.next_seed()))
+            .map(|_| MultiplyShiftHash::new(seeds.next_seed()))
             .collect();
         let levels = vec![None; usize_from_u32(config.max_levels())];
         Self {
@@ -392,12 +341,8 @@ impl DistinctCountSketch {
     ///   chunks: pass 1 (`route_chunk`) bulk-hashes every key exactly
     ///   once into structure-of-arrays scratch — levels, fingerprints,
     ///   and all `r` second-level buckets as contiguous fills — and
-    ///   pass 2 applies the updates against the flat level arenas. With
-    ///   `r ≥` [`LEVEL_GROUP_MIN_TABLES`] tables pass 2 visits updates
-    ///   grouped by level (sound because counter updates commute);
-    ///   below it, in stream order with no permutation — at small `r`
-    ///   the hot arenas are cache-resident and the grouping passes cost
-    ///   more than the locality they buy (measured; see DESIGN.md §13).
+    ///   pass 2 applies the updates against the flat level arenas,
+    ///   grouped by level (sound because counter updates commute).
     ///
     /// Telemetry: one amortized-latency sample per update and exactly
     /// one batch-size observation per call, regardless of which plan
@@ -430,53 +375,29 @@ impl DistinctCountSketch {
         self.route_chunk(chunk, scratch);
         let num_tables = self.config.num_tables();
         let mut net = 0i64;
-        if num_tables >= LEVEL_GROUP_MIN_TABLES {
-            // Level-grouped apply: every counter mutation is a
-            // commutative wrapping add, so the final state is
-            // independent of apply order — and visiting one level's
-            // arena to exhaustion keeps the working set at one arena
-            // (~r·s·544 B) instead of every hot level at once, which is
-            // the difference between L2 and L3 residency at large `r`
-            // (DESIGN.md §13).
-            scratch.group_by_level(chunk.len());
-            for k in 0..chunk.len() {
-                let i = scratch.order(k);
-                let update = chunk[i];
-                if let Some(state) = self.levels[scratch.level(i)].as_mut() {
-                    let fp = scratch.fp(i);
-                    for table in 0..num_tables {
-                        state.apply_with_fp(
-                            table,
-                            scratch.bucket(table, i),
-                            update.key,
-                            update.delta,
-                            fp,
-                        );
-                    }
+        // Level-grouped apply: every counter mutation is a commutative
+        // wrapping add, so the final state is independent of apply
+        // order — and visiting one level's arena to exhaustion keeps the
+        // working set at one arena (~r·s·544 B) instead of every hot
+        // level at once, which is the difference between L2 and L3
+        // residency at large `r` (DESIGN.md §13).
+        scratch.group_by_level(chunk.len());
+        for k in 0..chunk.len() {
+            let i = scratch.order(k);
+            let update = chunk[i];
+            if let Some(state) = self.levels[scratch.level(i)].as_mut() {
+                let fp = scratch.fp(i);
+                for table in 0..num_tables {
+                    state.apply_with_fp(
+                        table,
+                        scratch.bucket(table, i),
+                        update.key,
+                        update.delta,
+                        fp,
+                    );
                 }
-                net += update.delta.signum();
             }
-        } else {
-            // Stream-order apply: at small `r` the hot arenas already
-            // fit in cache, so the batch plan's edge over the scalar
-            // loop is the vectorized hash fills alone — the grouping
-            // sort and its order indirection would give that edge back
-            // (measured; DESIGN.md §13).
-            for (i, &update) in chunk.iter().enumerate() {
-                if let Some(state) = self.levels[scratch.level(i)].as_mut() {
-                    let fp = scratch.fp(i);
-                    for table in 0..num_tables {
-                        state.apply_with_fp(
-                            table,
-                            scratch.bucket(table, i),
-                            update.key,
-                            update.delta,
-                            fp,
-                        );
-                    }
-                }
-                net += update.delta.signum();
-            }
+            net += update.delta.signum();
         }
         self.updates_processed += u64_from_usize(chunk.len());
         self.net_updates += net;
@@ -487,10 +408,9 @@ impl DistinctCountSketch {
     /// buckets, fingerprints, and each table's second-level buckets as
     /// four contiguous fill loops — and materializes every touched
     /// level, so pass 2 only ever sees allocated arenas. Each fill is a
-    /// tight slice loop over one hash family (the enum dispatch is
-    /// hoisted to once per table per chunk), which is what lets the
-    /// mixing arithmetic unroll and vectorize across keys. Shared with
-    /// the tracking layer's batch path.
+    /// tight slice loop, which is what lets the mixing arithmetic
+    /// unroll and vectorize across keys. Shared with the tracking
+    /// layer's batch path.
     pub(crate) fn route_chunk(&mut self, chunk: &[FlowUpdate], scratch: &mut BatchScratch) {
         let n = chunk.len();
         debug_assert!(n <= scratch.chunk_cap());
@@ -896,49 +816,9 @@ impl DistinctCountSketch {
     }
 
     fn difference_impl(&self, snapshot: &Self, wide: bool) -> Result<Self, SketchError> {
-        if !self.is_compatible(snapshot) {
-            return Err(SketchError::IncompatibleMerge {
-                reason: format!("configs differ: {:?} vs {:?}", self.config, snapshot.config),
-            });
-        }
-        if snapshot.updates_processed > self.updates_processed {
-            self.telem.incr(Counter::SnapshotAheadRejected);
-            return Err(SketchError::SnapshotAhead {
-                snapshot_updates: snapshot.updates_processed,
-                current_updates: self.updates_processed,
-            });
-        }
+        self.check_subtrahend(snapshot)?;
         let mut diff = self.clone();
-        for (mine, theirs) in diff.levels.iter_mut().zip(&snapshot.levels) {
-            match (mine.as_mut(), theirs) {
-                (Some(a), Some(b)) => {
-                    if wide {
-                        a.subtract(b);
-                    } else {
-                        a.subtract_scalar(b);
-                    }
-                }
-                (None, Some(b))
-                    // Level never touched here but present in the
-                    // snapshot: only sound if the snapshot level is
-                    // all-zero (anything else would go negative).
-                    if !(if wide { b.is_zero() } else { b.is_zero_scalar() }) => {
-                        let mut fresh =
-                            LevelState::new(self.config.num_tables(), self.config.buckets_per_table());
-                        if wide {
-                            fresh.subtract(b);
-                        } else {
-                            fresh.subtract_scalar(b);
-                        }
-                        *mine = Some(fresh);
-                    }
-                _ => {}
-            }
-        }
-        // Safe plain subtraction: the snapshot-ahead guard above already
-        // rejected `snapshot.updates_processed > self.updates_processed`.
-        diff.updates_processed = self.updates_processed - snapshot.updates_processed;
-        diff.net_updates = self.net_updates - snapshot.net_updates;
+        diff.subtract_levels(snapshot, wide);
         Ok(diff)
     }
 
@@ -962,35 +842,38 @@ impl DistinctCountSketch {
     /// updates than this sketch — it then cannot be a constituent of
     /// the current sum. On error, `self` is unchanged.
     pub fn subtract(&mut self, expired: &Self) -> Result<(), SketchError> {
-        self.subtract_impl(expired, true)
+        self.check_subtrahend(expired)?;
+        self.subtract_levels(expired, true);
+        Ok(())
     }
 
-    /// Scalar reference twin of [`subtract`](Self::subtract):
-    /// identical except the per-level slab passes run the retained
-    /// scalar kernels. Kept for the equivalence suite.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`subtract`](Self::subtract).
-    #[doc(hidden)]
-    pub fn subtract_reference(&mut self, expired: &Self) -> Result<(), SketchError> {
-        self.subtract_impl(expired, false)
-    }
-
-    fn subtract_impl(&mut self, expired: &Self, wide: bool) -> Result<(), SketchError> {
-        if !self.is_compatible(expired) {
+    /// The checks shared by [`difference`](Self::difference) and
+    /// [`subtract`](Self::subtract): `other` must share this sketch's
+    /// configuration and must not have processed more updates than it
+    /// (counted on this sketch as `SnapshotAheadRejected`).
+    fn check_subtrahend(&self, other: &Self) -> Result<(), SketchError> {
+        if !self.is_compatible(other) {
             return Err(SketchError::IncompatibleMerge {
-                reason: format!("configs differ: {:?} vs {:?}", self.config, expired.config),
+                reason: format!("configs differ: {:?} vs {:?}", self.config, other.config),
             });
         }
-        if expired.updates_processed > self.updates_processed {
+        if other.updates_processed > self.updates_processed {
             self.telem.incr(Counter::SnapshotAheadRejected);
             return Err(SketchError::SnapshotAhead {
-                snapshot_updates: expired.updates_processed,
+                snapshot_updates: other.updates_processed,
                 current_updates: self.updates_processed,
             });
         }
-        for (mine, theirs) in self.levels.iter_mut().zip(&expired.levels) {
+        Ok(())
+    }
+
+    /// Subtracts `other` level by level and from the stream counters —
+    /// the body of [`difference`](Self::difference) and
+    /// [`subtract`](Self::subtract), run after
+    /// [`check_subtrahend`](Self::check_subtrahend). `wide` selects the
+    /// slab kernels; `false` runs their scalar twins.
+    fn subtract_levels(&mut self, other: &Self, wide: bool) {
+        for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
             match (mine.as_mut(), theirs) {
                 (Some(a), Some(b)) => {
                     if wide {
@@ -1000,9 +883,9 @@ impl DistinctCountSketch {
                     }
                 }
                 (None, Some(b))
-                    // Level never touched here but present in the
-                    // expired delta: only sound if that level is
-                    // all-zero (anything else would go negative).
+                    // Level never touched here but present in `other`:
+                    // only sound if that level is all-zero (anything
+                    // else would go negative).
                     if !(if wide { b.is_zero() } else { b.is_zero_scalar() }) => {
                         let mut fresh =
                             LevelState::new(self.config.num_tables(), self.config.buckets_per_table());
@@ -1016,11 +899,10 @@ impl DistinctCountSketch {
                 _ => {}
             }
         }
-        // Safe plain subtraction: the snapshot-ahead guard above already
-        // rejected `expired.updates_processed > self.updates_processed`.
-        self.updates_processed -= expired.updates_processed;
-        self.net_updates -= expired.net_updates;
-        Ok(())
+        // Plain subtraction is safe: `check_subtrahend` rejected
+        // `other.updates_processed > self.updates_processed`.
+        self.updates_processed -= other.updates_processed;
+        self.net_updates -= other.net_updates;
     }
 
     /// Estimates the distinct-count frequency of a single `group` from
@@ -1605,25 +1487,6 @@ mod tests {
             top.entries[0].estimated_frequency
         );
         assert_eq!(sketch.estimate_group_frequency(999, 0.25), 0);
-    }
-
-    #[test]
-    fn tabulation_family_produces_working_sketch() {
-        let config = SketchConfig::builder()
-            .buckets_per_table(512)
-            .hash_family(crate::config::HashFamily::Tabulation)
-            .seed(24)
-            .build()
-            .unwrap();
-        assert_eq!(config.hash_family(), crate::config::HashFamily::Tabulation);
-        let mut sketch = DistinctCountSketch::new(config);
-        for s in 0..200u32 {
-            sketch.insert(SourceAddr(s), DestAddr(s % 4));
-        }
-        let est = sketch.estimate_top_k(4, 0.25);
-        assert_eq!(est.entries.len(), 4);
-        let total: u64 = est.entries.iter().map(|e| e.estimated_frequency).sum();
-        assert!((100..400).contains(&total), "total = {total}");
     }
 
     #[test]

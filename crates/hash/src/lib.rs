@@ -8,9 +8,9 @@
 //!   SplitMix64/Murmur3 style, used to randomize the `[m²]` domain of
 //!   source-destination address pairs before any structured hashing is
 //!   applied (the paper's "function `f` that randomizes values of `[m²]`").
-//! * **Pairwise-independent bucket hashes** ([`multiply_shift`],
-//!   [`tabulation`]) — the second-level hash functions
-//!   `g_j : [m²] → [s]` that scatter pairs across the inner hash tables.
+//! * **Pairwise-independent bucket hashes** ([`multiply_shift`]) — the
+//!   second-level hash functions `g_j : [m²] → [s]` that scatter pairs
+//!   across the inner hash tables.
 //! * **The geometric level hash** ([`geometric`]) — the first-level hash
 //!   `h : [m²] → {0, …, Θ(log m)}` with `Pr[h(x) = l] = 2^-(l+1)`,
 //!   implemented (as in Flajolet–Martin) as the position of the
@@ -42,28 +42,25 @@ pub mod geometric;
 pub mod mix;
 pub mod multiply_shift;
 pub mod seed;
-pub mod tabulation;
 
 pub use geometric::GeometricLevelHash;
 pub use mix::mix64;
 pub use multiply_shift::MultiplyShiftHash;
 pub use seed::SeedSequence;
-pub use tabulation::TabulationHash;
 
 /// A seeded function hashing 64-bit keys to 64-bit values.
 ///
 /// Implementors are cheap to evaluate (a handful of arithmetic
 /// instructions) and deterministic for a fixed seed. The trait is sealed
-/// by convention to the families in this crate; it mainly exists so that
-/// sketch code can be written generically and unit-tested against all
-/// families at once.
+/// by convention to the families in this crate; it carries the shared
+/// range-reduction and batched-fill methods.
 ///
 /// # Examples
 ///
 /// ```
-/// use dcs_hash::{Hash64, TabulationHash};
+/// use dcs_hash::{Hash64, MultiplyShiftHash};
 ///
-/// let h = TabulationHash::new(7);
+/// let h = MultiplyShiftHash::new(7);
 /// assert_eq!(h.hash(123), h.hash(123));
 /// ```
 pub trait Hash64 {
@@ -88,9 +85,8 @@ pub trait Hash64 {
     /// slab).
     ///
     /// The batched form used by chunked sketch updates: a single tight
-    /// loop per hash family, so monomorphization hoists any enum
-    /// dispatch a caller would otherwise pay per key, and the
-    /// hash + Lemire-reduction body can unroll across keys.
+    /// loop, so the hash + Lemire-reduction body can unroll across
+    /// keys.
     ///
     /// For ranges below `2³²` (every realistic table size) the Lemire
     /// reduction runs as [`cast::lemire_index_narrow`] — an exact
@@ -123,7 +119,7 @@ mod tests {
 
     #[test]
     fn hash_to_range_is_in_range() {
-        let h = TabulationHash::new(1);
+        let h = MultiplyShiftHash::new(1);
         for key in 0..1000u64 {
             assert!(h.hash_to_range(key, 7) < 7);
             assert!(h.hash_to_range(key, 128) < 128);
@@ -133,23 +129,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn hash_to_range_zero_panics() {
-        let h = TabulationHash::new(1);
+        let h = MultiplyShiftHash::new(1);
         let _ = h.hash_to_range(1, 0);
     }
 
     #[test]
-    fn hash_to_range_fill_matches_scalar_for_all_families() {
+    fn hash_to_range_fill_matches_scalar() {
         let keys: Vec<u64> = (0..300u64).map(|k| k.wrapping_mul(0xdead_beef)).collect();
         let mut out = vec![0u64; keys.len()];
         let ms = MultiplyShiftHash::new(4);
         ms.hash_to_range_fill(&keys, 128, &mut out);
         for (&k, &b) in keys.iter().zip(&out) {
             assert_eq!(b, cast::u64_from_usize(ms.hash_to_range(k, 128)));
-        }
-        let tab = TabulationHash::new(4);
-        tab.hash_to_range_fill(&keys, 99, &mut out);
-        for (&k, &b) in keys.iter().zip(&out) {
-            assert_eq!(b, cast::u64_from_usize(tab.hash_to_range(k, 99)));
         }
     }
 

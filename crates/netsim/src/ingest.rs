@@ -284,25 +284,8 @@ impl WorkerPool {
 
     /// Linearly merges the latest published partials into one tracking
     /// sketch (call [`Self::flush`] first for an up-to-the-cursor view).
-    ///
-    /// Partials that have processed no updates are skipped: they hold
-    /// no levels, so merging them only burns per-level clone/merge
-    /// passes. Bit-identical — an untouched partial contributes zero to
-    /// every counter — and it matters for snapshots taken before all
-    /// shards have seen traffic.
     pub(crate) fn merged(&self, config: &SketchConfig) -> Result<TrackingDcs, SketchError> {
-        let parts = self.published_parts();
-        let started = Instant::now();
-        let merged = DistinctCountSketch::merge_many(
-            config,
-            parts
-                .iter()
-                .map(Arc::as_ref)
-                .filter(|part| part.updates_processed() > 0),
-        )?;
-        self.merge_latency
-            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        Ok(TrackingDcs::from_sketch(merged))
+        merge_parts(config, &self.published_parts(), &self.merge_latency)
     }
 
     /// A cloneable non-blocking read handle over the published shards.
@@ -383,6 +366,32 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Linearly merges published shard partials, in shard order, into one
+/// tracking sketch and records the merge's latency — the read path
+/// shared by [`WorkerPool::merged`] and [`ShardReader::snapshot`].
+///
+/// Partials that have processed no updates are skipped: they hold no
+/// levels, so merging them only burns per-level clone/merge passes.
+/// Bit-identical — an untouched partial contributes zero to every
+/// counter — and it matters for snapshots taken before all shards have
+/// seen traffic.
+fn merge_parts(
+    config: &SketchConfig,
+    parts: &[Arc<DistinctCountSketch>],
+    merge_latency: &LogHistogram,
+) -> Result<TrackingDcs, SketchError> {
+    let started = Instant::now();
+    let merged = DistinctCountSketch::merge_many(
+        config,
+        parts
+            .iter()
+            .map(Arc::as_ref)
+            .filter(|part| part.updates_processed() > 0),
+    )?;
+    merge_latency.record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    Ok(TrackingDcs::from_sketch(merged))
+}
+
 /// A cloneable, non-blocking read handle over a sharded ingest's
 /// published per-shard snapshots. Obtained from
 /// [`crate::sharded::ShardedIngest::reader`]; remains usable from other
@@ -442,22 +451,10 @@ impl ShardReader {
             .iter()
             .map(|shard| Arc::clone(&shard.published.lock()))
             .collect();
-        let started = Instant::now();
+        // Reports every shard, including the idle ones the merge skips.
         let shard_updates: Vec<u64> = parts.iter().map(|part| part.updates_processed()).collect();
-        // Skip partials that have processed nothing (same reasoning as
-        // `WorkerPool::merged`); `shard_updates` above still reports
-        // every shard, including idle ones.
-        let merged = DistinctCountSketch::merge_many(
-            &self.config,
-            parts
-                .iter()
-                .map(Arc::as_ref)
-                .filter(|part| part.updates_processed() > 0),
-        )?;
-        self.merge_latency
-            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         Ok(ShardedSnapshot {
-            sketch: TrackingDcs::from_sketch(merged),
+            sketch: merge_parts(&self.config, &parts, &self.merge_latency)?,
             updates_applied: shard_updates.iter().sum(),
             shard_updates,
         })

@@ -356,44 +356,45 @@ impl MonitorState {
         }
     }
 
-    /// One alarm evaluation at an ingest boundary: direct mode judges
-    /// the monitor's own sketch; sharded mode flushes the engine and
-    /// judges the merged snapshot (a merge failure — unreachable with
-    /// one shared configuration — degrades to a warning, never a lost
-    /// pipeline).
+    /// One alarm evaluation at an ingest boundary, on one path for
+    /// every mode: pick the cumulative sketch (sharded mode flushes the
+    /// engine and takes its merged view; direct mode takes the
+    /// monitor's own), take its top-k, and judge that once.
     ///
     /// In windowed mode the boundary also closes an epoch: the
-    /// cumulative sketch (the monitor's own, or the merged view) is
-    /// differenced against the epoch base, the window slides in O(1),
-    /// and the alarm rules judge the windowed top-k instead of the
-    /// all-time view. A window failure — unreachable under the
-    /// pipeline's invariants — degrades to a warning and a skipped
-    /// judgment, never a lost pipeline.
+    /// cumulative sketch is differenced against the epoch base, the
+    /// window slides in O(1), and the top-k comes from the window
+    /// instead of the all-time view. A merge or window failure —
+    /// unreachable under the pipeline's invariants — degrades to a
+    /// warning and a skipped judgment, never a lost pipeline.
     fn evaluate(&mut self, alarms: &mut Vec<Alarm>) {
-        fn judge_window_top(w: &EpochWindow, monitor: &mut DdosMonitor, alarms: &mut Vec<Alarm>) {
-            let top = w.top_k(monitor.policy().watch_top_k, monitor.policy().epsilon);
-            alarms.extend(monitor.evaluate_top(&top));
-        }
-        let monitor = &mut self.monitor;
-        match &mut self.engine {
+        let merged;
+        let cumulative = match &mut self.engine {
             Some(eng) => match eng.merged() {
-                Ok(view) => match &mut self.window {
-                    Some(w) => match w.advance(view.sketch()) {
-                        Ok(()) => judge_window_top(w, monitor, alarms),
-                        Err(e) => eprintln!("window slide failed during evaluation: {e}"),
-                    },
-                    None => alarms.extend(monitor.evaluate_snapshot(&view)),
-                },
-                Err(e) => eprintln!("sharded merge failed during evaluation: {e}"),
+                Ok(view) => {
+                    merged = view;
+                    &merged
+                }
+                Err(e) => {
+                    eprintln!("sharded merge failed during evaluation: {e}");
+                    return;
+                }
             },
-            None => match &mut self.window {
-                Some(w) => match w.advance(monitor.sketch().sketch()) {
-                    Ok(()) => judge_window_top(w, monitor, alarms),
-                    Err(e) => eprintln!("window slide failed during evaluation: {e}"),
-                },
-                None => alarms.extend(monitor.evaluate()),
+            None => self.monitor.sketch(),
+        };
+        let policy = self.monitor.policy();
+        let (k, epsilon) = (policy.watch_top_k, policy.epsilon);
+        let top = match &mut self.window {
+            Some(w) => match w.advance(cumulative.sketch()) {
+                Ok(()) => w.top_k(k, epsilon),
+                Err(e) => {
+                    eprintln!("window slide failed during evaluation: {e}");
+                    return;
+                }
             },
-        }
+            None => cumulative.track_top_k(k, epsilon),
+        };
+        alarms.extend(self.monitor.evaluate_top(&top));
     }
 
     /// The telemetry snapshot exported at a boundary: the monitor's own

@@ -12,9 +12,9 @@
 //! by its own CRC-32 (reflected IEEE), so any single flipped bit in a
 //! payload is detected; the header fields are protected structurally
 //! (magic, version, known tags, exact length accounting, and a
-//! trailing-bytes check). Compound documents nest recursively: an
-//! epoch checkpoint's `CUR`/`SNP` sections carry complete embedded
-//! documents, so the same encode/decode pair handles every layer.
+//! trailing-bytes check). Compound documents nest recursively: a
+//! window checkpoint's `CUR`/`BAS`/`WIN`/`SNP` sections carry complete
+//! embedded documents, so the same encode/decode pair handles every layer.
 //!
 //! Document kinds and their section sequences (order is fixed and
 //! enforced):
@@ -23,7 +23,7 @@
 //! |---|---|
 //! | 1 `Sketch`   | `CFG` `MET` `LVL`* |
 //! | 2 `Tracking` | `SKC`(nested Sketch) `TRM` `TRK`* |
-//! | 3 `Epoch`    | `EPO` `CUR`(nested Tracking) `SNP`(nested Sketch)* |
+//! | 3 (retired)  | — rejected as an unknown kind; never reuse the byte |
 //! | 4 `Sharded`  | `SHD` `SNP`(nested Sketch)* |
 //! | 5 `Window`   | `WND` `CUR`(nested Tracking) `BAS`(nested Sketch) `WIN`(nested Sketch) `SNP`(nested Sketch)* |
 //!
@@ -33,11 +33,11 @@
 //! compatibility code may accept older ones. Unknown section tags are
 //! an error, not skipped — a checkpoint is a complete state capture,
 //! so "unknown but ignorable" sections do not exist at this layer.
-//! See DESIGN.md §12 for the full specification.
+//! The last byte of `CFG` is the retired hash-family tag: encoders
+//! write 0 (multiply-shift, the only family) and decoders reject any
+//! other value. See DESIGN.md §12 for the full specification.
 
-use dcs_core::{
-    GroupBy, HashFamily, LevelSlabs, SketchConfig, SketchState, TrackingLevelState, TrackingState,
-};
+use dcs_core::{GroupBy, LevelSlabs, SketchConfig, SketchState, TrackingLevelState, TrackingState};
 
 use crate::error::PersistError;
 use crate::wire::{crc32, ByteReader, ByteWriter};
@@ -50,7 +50,9 @@ pub const FORMAT_VERSION: u32 = 1;
 
 const KIND_SKETCH: u8 = 1;
 const KIND_TRACKING: u8 = 2;
-const KIND_EPOCH: u8 = 3;
+// Kind byte 3 is retired: it was the epoch-manager document, whose
+// writer is gone. Decoders reject it as an unknown kind, and it must
+// never be reused — an old kind-3 file would decode as the new kind.
 const KIND_SHARDED: u8 = 4;
 const KIND_WINDOW: u8 = 5;
 
@@ -60,7 +62,6 @@ const TAG_LVL: [u8; 4] = *b"LVL\0";
 const TAG_SKC: [u8; 4] = *b"SKC\0";
 const TAG_TRM: [u8; 4] = *b"TRM\0";
 const TAG_TRK: [u8; 4] = *b"TRK\0";
-const TAG_EPO: [u8; 4] = *b"EPO\0";
 const TAG_CUR: [u8; 4] = *b"CUR\0";
 const TAG_SNP: [u8; 4] = *b"SNP\0";
 const TAG_SHD: [u8; 4] = *b"SHD\0";
@@ -73,22 +74,6 @@ fn tag_name(tag: [u8; 4]) -> String {
         .take_while(|&&b| b != 0)
         .map(|&b| char::from(b))
         .collect()
-}
-
-/// The persistent state of an epoch manager: the live tracking sketch
-/// plus the ring of end-of-epoch snapshots (oldest first) and the ring
-/// bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochCheckpoint {
-    /// State of the current (live) tracking sketch.
-    pub current: TrackingState,
-    /// Ring capacity (`max_snapshots` of the manager; always ≥ 1).
-    pub max_snapshots: u64,
-    /// Total number of `rotate()` calls so far.
-    pub epochs_rotated: u64,
-    /// Retained end-of-epoch snapshots, oldest first; at most
-    /// `max_snapshots` of them.
-    pub snapshots: Vec<SketchState>,
 }
 
 /// The persistent state of a sharded ingest pipeline: one basic-sketch
@@ -148,8 +133,6 @@ pub enum Checkpoint {
     Sketch(SketchState),
     /// A [`dcs_core::TrackingDcs`] with its tracking structures.
     Tracking(TrackingState),
-    /// An epoch manager: live tracking sketch + snapshot ring.
-    Epoch(EpochCheckpoint),
     /// A sharded ingest pipeline: per-shard sketches + stream cursor.
     Sharded(ShardedCheckpoint),
     /// A windowed monitor: cumulative sketch + ring-of-deltas window.
@@ -162,7 +145,6 @@ impl Checkpoint {
         match self {
             Checkpoint::Sketch(_) => "sketch",
             Checkpoint::Tracking(_) => "tracking",
-            Checkpoint::Epoch(_) => "epoch",
             Checkpoint::Sharded(_) => "sharded",
             Checkpoint::Window(_) => "window",
         }
@@ -172,7 +154,6 @@ impl Checkpoint {
         match self {
             Checkpoint::Sketch(_) => KIND_SKETCH,
             Checkpoint::Tracking(_) => KIND_TRACKING,
-            Checkpoint::Epoch(_) => KIND_EPOCH,
             Checkpoint::Sharded(_) => KIND_SHARDED,
             Checkpoint::Window(_) => KIND_WINDOW,
         }
@@ -201,10 +182,8 @@ fn config_payload(config: &SketchConfig) -> Vec<u8> {
     };
     w.put_u8(group_tag);
     w.put_u8(bits);
-    w.put_u8(match config.hash_family() {
-        HashFamily::MultiplyShift => 0,
-        HashFamily::Tabulation => 1,
-    });
+    // Retired hash-family tag: 0 is multiply-shift, the only family.
+    w.put_u8(0);
     w.into_bytes()
 }
 
@@ -290,25 +269,6 @@ pub fn encode(checkpoint: &Checkpoint) -> Vec<u8> {
             push_section(&mut sections, TAG_TRM, trm.into_bytes());
             for level in &state.levels {
                 push_section(&mut sections, TAG_TRK, tracking_level_payload(level));
-            }
-        }
-        Checkpoint::Epoch(epoch) => {
-            let mut epo = ByteWriter::new();
-            epo.put_u64(epoch.max_snapshots);
-            epo.put_u64(epoch.epochs_rotated);
-            epo.put_u32(u32::try_from(epoch.snapshots.len()).unwrap_or(u32::MAX));
-            push_section(&mut sections, TAG_EPO, epo.into_bytes());
-            push_section(
-                &mut sections,
-                TAG_CUR,
-                encode(&Checkpoint::Tracking(epoch.current.clone())),
-            );
-            for snapshot in &epoch.snapshots {
-                push_section(
-                    &mut sections,
-                    TAG_SNP,
-                    encode(&Checkpoint::Sketch(snapshot.clone())),
-                );
             }
         }
         Checkpoint::Sharded(sharded) => {
@@ -468,22 +428,17 @@ fn decode_config(payload: &[u8]) -> Result<SketchConfig, PersistError> {
             })
         }
     };
-    let hash_family = match family_tag {
-        0 => HashFamily::MultiplyShift,
-        1 => HashFamily::Tabulation,
-        other => {
-            return Err(PersistError::Corrupt {
-                context: format!("unknown hash_family tag {other}"),
-            })
-        }
-    };
+    if family_tag != 0 {
+        return Err(PersistError::Corrupt {
+            context: format!("unsupported hash_family tag {family_tag} (only 0, multiply-shift)"),
+        });
+    }
     SketchConfig::builder()
         .num_tables(num_tables)
         .buckets_per_table(buckets)
         .max_levels(max_levels)
         .seed(seed)
         .group_by(group_by)
-        .hash_family(hash_family)
         .build()
         .map_err(PersistError::State)
 }
@@ -644,44 +599,6 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
                 untracked_decrements,
             }))
         }
-        KIND_EPOCH => {
-            if sections.len() < 2 {
-                return Err(PersistError::Corrupt {
-                    context: format!(
-                        "epoch document has {} section(s), needs at least EPO and CUR",
-                        sections.len()
-                    ),
-                });
-            }
-            expect_tag(&sections[0], TAG_EPO)?;
-            expect_tag(&sections[1], TAG_CUR)?;
-            let mut epo = ByteReader::new(sections[0].payload);
-            let max_snapshots = epo.u64("epoch ring capacity")?;
-            let epochs_rotated = epo.u64("epochs rotated")?;
-            let snapshot_count = epo.u32("epoch snapshot count")?;
-            epo.expect_end()?;
-            let current = decode_nested_tracking(sections[1].payload, "CUR section")?;
-            let mut snapshots = Vec::with_capacity(sections.len() - 2);
-            for section in &sections[2..] {
-                expect_tag(section, TAG_SNP)?;
-                snapshots.push(decode_nested_sketch(section.payload, "SNP section")?);
-            }
-            if u64::try_from(snapshots.len()).unwrap_or(u64::MAX) != u64::from(snapshot_count) {
-                return Err(PersistError::Corrupt {
-                    context: format!(
-                        "epoch document declares {snapshot_count} snapshot(s) \
-                         but carries {}",
-                        snapshots.len()
-                    ),
-                });
-            }
-            Ok(Checkpoint::Epoch(EpochCheckpoint {
-                current,
-                max_snapshots,
-                epochs_rotated,
-                snapshots,
-            }))
-        }
         KIND_SHARDED => {
             if sections.is_empty() {
                 return Err(PersistError::Corrupt {
@@ -810,18 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_document_roundtrips() {
-        let epoch = EpochCheckpoint {
-            current: sample_tracking(3, 200),
-            max_snapshots: 4,
-            epochs_rotated: 9,
-            snapshots: vec![sample_sketch(3, 50), sample_sketch(3, 120)],
-        };
-        let bytes = encode(&Checkpoint::Epoch(epoch.clone()));
-        assert_eq!(decode(&bytes).unwrap(), Checkpoint::Epoch(epoch));
-    }
-
-    #[test]
     fn sharded_document_roundtrips() {
         let sharded = ShardedCheckpoint {
             updates_distributed: 777,
@@ -920,10 +825,48 @@ mod tests {
 
     #[test]
     fn unknown_document_kind_is_rejected() {
-        let mut bytes = encode(&Checkpoint::Sketch(sample_sketch(9, 10)));
-        // Kind byte sits after magic(8) + version(4).
-        bytes[12] = 99;
-        assert!(matches!(decode(&bytes), Err(PersistError::Corrupt { .. })));
+        let bytes = encode(&Checkpoint::Sketch(sample_sketch(9, 10)));
+        // Kind byte sits after magic(8) + version(4). Kind 3 is the
+        // retired epoch-manager document.
+        for kind in [3, 99] {
+            let mut patched = bytes.clone();
+            patched[12] = kind;
+            assert!(
+                matches!(decode(&patched), Err(PersistError::Corrupt { .. })),
+                "kind {kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn config_family_byte_is_zero_and_nonzero_is_corrupt() {
+        let configs = [
+            config(0),
+            SketchConfig::paper_default(),
+            SketchConfig::builder()
+                .num_tables(5)
+                .buckets_per_table(1 << 20)
+                .max_levels(64)
+                .seed(u64::MAX)
+                .group_by(GroupBy::SourcePrefix { bits: 24 })
+                .build()
+                .unwrap(),
+            config(3).regroup(GroupBy::Source),
+            config(4).regroup(GroupBy::DestinationPrefix { bits: 16 }),
+        ];
+        for config in &configs {
+            let mut payload = config_payload(config);
+            assert_eq!(payload.last(), Some(&0), "{config:?}");
+            assert_eq!(decode_config(&payload).unwrap(), *config);
+            *payload.last_mut().unwrap() = 1;
+            assert!(
+                matches!(
+                    decode_config(&payload),
+                    Err(PersistError::Corrupt { context }) if context.contains("hash_family")
+                ),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]
@@ -975,15 +918,13 @@ mod tests {
 
     #[test]
     fn mismatched_snapshot_count_is_corrupt() {
-        let epoch = EpochCheckpoint {
-            current: sample_tracking(14, 60),
-            max_snapshots: 4,
-            epochs_rotated: 1,
-            snapshots: vec![sample_sketch(14, 10)],
+        let sharded = ShardedCheckpoint {
+            updates_distributed: 70,
+            shards: vec![sample_sketch(14, 60), sample_sketch(14, 10)],
         };
-        let bytes = encode(&Checkpoint::Epoch(epoch));
+        let bytes = encode(&Checkpoint::Sharded(sharded));
         // Drop the final SNP section and fix up the section count so the
-        // framing stays valid; the declared snapshot count now lies.
+        // framing stays valid; the declared shard count now lies.
         let offsets = section_offsets(&bytes).unwrap();
         let mut shortened = bytes[..offsets[offsets.len() - 2]].to_vec();
         // Section count is a u32 at offset 13 (magic 8 + version 4 + kind 1).
@@ -991,7 +932,7 @@ mod tests {
         shortened[13..17].copy_from_slice(&(old_count - 1).to_le_bytes());
         assert!(matches!(
             decode(&shortened),
-            Err(PersistError::Corrupt { .. })
+            Err(PersistError::Corrupt { context }) if context.contains("declares 2 shard")
         ));
     }
 }

@@ -9,7 +9,7 @@
 //!   byte-identical to the committed file, and decoding the committed
 //!   file must reproduce the state.
 //! * `hash_vectors.txt` — golden input → output vectors for the
-//!   geometric, tabulation, and multiply-shift hash families. The
+//!   geometric and multiply-shift hash families. The
 //!   checkpoint format persists *only* the seed, so restore
 //!   correctness requires that seeded hash construction never changes
 //!   across versions — these vectors are that guarantee's tripwire.
@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ddos_streams::hash::{GeometricLevelHash, Hash64, MultiplyShiftHash, TabulationHash};
+use ddos_streams::hash::{GeometricLevelHash, Hash64, MultiplyShiftHash};
 use ddos_streams::persist::{decode, encode, Checkpoint};
 use ddos_streams::{
     Delta, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SourceAddr, TrackingDcs,
@@ -155,11 +155,9 @@ fn hash_vector_text() -> String {
     );
     for &seed in &seeds {
         let geometric = GeometricLevelHash::new(seed, 32);
-        let tabulation = TabulationHash::new(seed);
         let multiply = MultiplyShiftHash::new(seed);
         for &key in &keys {
             writeln!(out, "geometric {seed} {key} {}", geometric.level(key)).unwrap();
-            writeln!(out, "tabulation {seed} {key} {}", tabulation.hash(key)).unwrap();
             writeln!(out, "multiply_shift {seed} {key} {}", multiply.hash(key)).unwrap();
         }
     }

@@ -6,10 +6,11 @@
 //! fixed-width merge/subtract kernels may only reorder independent
 //! wrapping lane operations.
 //!
-//! Boundary shapes are chosen around both kernel thresholds:
+//! Boundary shapes are chosen around the kernels' chunk widths:
 //! `SCREEN_LANES = 64` (the screen mask width — `r·s ∈ {62, 64, 66}`
-//! exercises the chunk tail) and `SLAB_WIDE_MIN = 256` (the slab
-//! cutoff — `r·s ∈ {254, 256, 258}` straddles the scalar fallback).
+//! exercises the chunk tail) and the 64-lane slab chunks at the
+//! `r = 2, s = 128` level size (`r·s ∈ {254, 256, 258}`: four chunks
+//! short of a lane, exact, and with a two-lane tail).
 
 use ddos_streams::{
     DestAddr, DistinctCountSketch, FlowUpdate, ScenarioBuilder, SketchConfig, SourceAddr,
@@ -22,7 +23,7 @@ const BOUNDARY_SHAPES: &[(usize, usize)] = &[
     (2, 31),
     (2, 32),
     (2, 33),
-    // r·s around SLAB_WIDE_MIN = 256: scalar fallback, exact cutoff, +tail.
+    // r·s around 256 (four slab chunks): short of a lane, exact, +tail.
     (2, 127),
     (2, 128),
     (2, 129),
