@@ -125,10 +125,13 @@ fn bench_screen(c: &mut Criterion) {
     // before/after comparison for the O(1) singleton screen.
     //
     // The stream is repeat-heavy: each source-destination pair carries
-    // many packets (SYN retries, long-lived flows), as in real flow
-    // traces. Repeated hits on a singleton or empty bucket are exactly
-    // where the screen pays — the skip rule avoids both 65-counter
-    // decodes that the reference path performs per table per update.
+    // many packets (SYN retries, long-lived flows). That is the
+    // per-packet case, where the own-singleton skip fires; it is not
+    // `run_pipeline`'s traffic, whose handshake tracker emits each pair
+    // once (SYN) and removes it at most once (ACK), so its buckets are
+    // mostly collisions cleared by the probe prefix instead (DESIGN.md
+    // §8). Either way the skip rule avoids both 65-counter decodes
+    // that the reference path performs per table per update.
     use dcs_core::{DestAddr, FlowUpdate, SourceAddr};
     use rand::prelude::*;
 

@@ -112,10 +112,37 @@ fn inverse_mod_pow2(q: u64) -> u64 {
     inv
 }
 
+/// The bit counters `classify` probes before recovering a candidate:
+/// the low nibble of each half of the packed pair (destination bits
+/// `0..4`, source bits `32..36`, see [`FlowKey::packed`]).
+///
+/// Both halves, because real collisions hold one half constant: every
+/// flood or flash-crowd pair in a bucket shares the victim's address,
+/// and every port-scan pair shares the scanner's. A prefix drawn from
+/// one half alone can never fail on such a bucket, and each update into
+/// it would pay the full candidate recovery and fingerprint check just
+/// to learn `Fail`. With four bits from each half, two pairs that share
+/// one address still differ in a probed bit with probability `15/16`.
+/// Keys chosen to agree on these bits only send their buckets through
+/// the full classification, with the same answers: the probe can only
+/// ever prove `Fail`. [`SigRef::skips_as_own_singleton`] checks these
+/// same bits, so the probe and the skip cannot drift apart.
+const PROBE_BITS: [u32; 8] = [0, 1, 2, 3, 32, 33, 34, 35];
+
+/// Whether bit-location count `c` rules out a singleton of net total
+/// `total`: a singleton's bit counters are all `0` or `total`, so any
+/// other value proves the bucket holds two or more distinct pairs (or
+/// an ill-formed residue) — exactly the states `verify_candidate`
+/// reports as `Collision`.
+#[inline]
+fn probe_fails(c: i64, total: i64) -> bool {
+    c != 0 && c != total
+}
+
 /// Classifies `(total, key_sum, fp_sum)` in `O(1)`; `bit_count(j)`
-/// supplies the `j`-th bit-location count, consulted only for the
-/// `trailing_zeros(total)` topmost bits an even total leaves
-/// undetermined.
+/// supplies the `j`-th bit-location count, consulted for the
+/// [`PROBE_BITS`] prefix and the `trailing_zeros(total)` topmost bits an
+/// even total leaves undetermined.
 fn classify(total: i64, key_sum: u64, fp_sum: u64, bit_count: impl Fn(u32) -> i64) -> ScreenClass {
     if total <= 0 {
         // A negative total, or a zero total with sum residue, can
@@ -129,19 +156,18 @@ fn classify(total: i64, key_sum: u64, fp_sum: u64, bit_count: impl Fn(u32) -> i6
     }
     let t = u64_from_i64(total);
     // Fail-fast prefix: a singleton's bit counters are all 0 or
-    // `total`, while a bucket colliding random keys has a counter
-    // strictly in between almost immediately (probability ≥ 1/2 per
-    // counter for two keys). Probing a short constant prefix
-    // dispatches dense collisions before the modular-inverse candidate
-    // recovery below. The eight probes accumulate one flag instead of
-    // branching per counter: a fixed-width compare/or ladder with no
-    // data-dependent exit, so the whole prefix issues as straight-line
-    // (vectorizable) code and costs no branch misprediction on the
-    // collision-heavy paths that dominate full-table scans.
+    // `total`, while a bucket colliding distinct keys has a probed
+    // counter strictly in between with high probability (see
+    // `PROBE_BITS`). Probing this short constant set dispatches
+    // collisions before the modular-inverse candidate recovery below.
+    // The eight probes accumulate one flag instead of branching per
+    // counter: a fixed-width compare/or ladder with no data-dependent
+    // exit, so the whole prefix issues as straight-line code and costs
+    // no branch misprediction on the collision-heavy paths that
+    // dominate full-table scans.
     let mut prefix_fail = false;
-    for j in 0..8 {
-        let c = bit_count(j);
-        prefix_fail |= c != 0 && c != total;
+    for j in PROBE_BITS {
+        prefix_fail |= probe_fails(bit_count(j), total);
     }
     if prefix_fail {
         return ScreenClass::Fail;
@@ -259,12 +285,52 @@ impl<'a> SigRef<'a> {
         })
     }
 
+    /// Whether the [`PROBE_BITS`] prefix alone proves that the bucket
+    /// is a non-singleton both before and after applying `(key,
+    /// delta)` — the tracking hot path's cheapest no-transition proof,
+    /// and the common case on attack traffic, where a bucket collides
+    /// many pairs bound for one victim.
+    ///
+    /// One pass over the eight probe counters tests both sides: each
+    /// counter is read once and its post-update value derived from
+    /// `key`'s bit. Costs eight bit-counter reads and no sum, inverse
+    /// or fingerprint work.
+    ///
+    /// Sound for the tracking skip rule: a `true` here implies
+    /// [`screen_class`](Self::screen_class) and
+    /// [`screen_class_after`](Self::screen_class_after) both return
+    /// `Fail`, since both totals are positive and `classify` probes the
+    /// same bits with the same predicate. A side whose total is not
+    /// positive makes this return `false` and leaves the decision to
+    /// the full classification.
+    #[inline]
+    pub(crate) fn prefix_fails_both(self, key: FlowKey, delta: Delta) -> bool {
+        let total = self.counts[0];
+        let sign = delta.signum();
+        let total_after = total.wrapping_add(sign);
+        if total <= 0 || total_after <= 0 {
+            return false;
+        }
+        let packed = key.packed();
+        // Branchless accumulation, like `classify`'s prefix: eight
+        // identical read/compare/or steps with no early exit.
+        let mut fails_before = false;
+        let mut fails_after = false;
+        for j in PROBE_BITS {
+            let c = self.counts[usize_from_u32(j) + 1];
+            let c_after = c.wrapping_add(sign.wrapping_mul(i64::from(packed >> j & 1 == 1)));
+            fails_before |= probe_fails(c, total);
+            fails_after |= probe_fails(c_after, total_after);
+        }
+        fails_before && fails_after
+    }
+
     /// Whether both the current and the post-`(key, delta)` screen
-    /// class are provably `Candidate(key)` — the dominant hot-path
-    /// case of a repeated packet on a flow that (apparently) owns its
-    /// bucket. Costs sixteen counter reads and two multiplies; no
-    /// modular inverse and no fingerprint mixing, because the caller
-    /// already holds both `key` and its fingerprint.
+    /// class are provably `Candidate(key)` — a repeated packet on a
+    /// flow that (apparently) owns its bucket. Costs sixteen bit-counter
+    /// reads and two multiplies; no modular inverse and no fingerprint
+    /// mixing, because the caller already holds both `key` and its
+    /// fingerprint.
     ///
     /// Sound for the tracking skip rule: a `true` here implies
     /// [`screen_class`](Self::screen_class) and
@@ -286,8 +352,8 @@ impl<'a> SigRef<'a> {
         if self.key_sum != t.wrapping_mul(packed) || self.fp_sum != t.wrapping_mul(fp) {
             return false;
         }
-        // counter == total exactly where `key` has a 1-bit, over the
-        // probe prefix (0..8) and the top byte — everything `classify`
+        // counter == total exactly where `key` has a 1-bit, over
+        // `PROBE_BITS` and the top byte — everything `classify`
         // consults, on both sides of the update, for totals below 256.
         // Branchless accumulation: sixteen identical multiply/compare/or
         // steps with no early exit, so the check compiles to a short
@@ -295,7 +361,7 @@ impl<'a> SigRef<'a> {
         // without a branch; the multiply cannot overflow for totals
         // below 256 but stays `wrapping_` for L1 uniformity).
         let mut mismatch = false;
-        for j in (0..8).chain(KEY_BITS - 8..KEY_BITS) {
+        for j in PROBE_BITS.into_iter().chain(KEY_BITS - 8..KEY_BITS) {
             let expected = total.wrapping_mul(i64::from(packed >> j & 1 == 1));
             let c = self.counts[usize_from_u32(j) + 1];
             mismatch |= c != expected;
@@ -740,6 +806,13 @@ impl CountSignature {
         self.view().screen_class_after(key, delta, fp)
     }
 
+    /// Hot-path prefix proof — see [`SigRef::prefix_fails_both`].
+    #[inline]
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn prefix_fails_both(&self, key: FlowKey, delta: Delta) -> bool {
+        self.view().prefix_fails_both(key, delta)
+    }
+
     /// Hot-path fast skip — see [`SigRef::skips_as_own_singleton`].
     #[inline]
     #[cfg_attr(not(test), allow(dead_code))]
@@ -1087,17 +1160,36 @@ mod tests {
         assert!(!collided.skips_as_own_singleton(other, Delta::Insert, other_fp));
     }
 
+    /// Mask of every bit `skips_as_own_singleton` checks: the probe
+    /// prefix and the top byte.
+    fn skip_checked_mask() -> u64 {
+        PROBE_BITS
+            .into_iter()
+            .chain(KEY_BITS - 8..KEY_BITS)
+            .fold(0, |mask, j| mask | 1 << j)
+    }
+
     #[test]
     fn own_singleton_fast_skip_agrees_with_classify_on_random_streams() {
         // Soundness invariant behind the hot-path skip: whenever
         // `skips_as_own_singleton` fires, the general classifier must
         // agree that both sides are Candidate(key) — on every prefix of
         // random well-formed streams, including high-bit keys that
-        // exercise the top-byte counter checks.
+        // exercise the top-byte counter checks, and keys that agree on
+        // every bit the skip checks but differ elsewhere (so only the
+        // sums can tell them apart).
         use rand::prelude::*;
-        for seed in 0..8u64 {
+        let checked = skip_checked_mask();
+        for seed in 0..16u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let pool: Vec<FlowKey> = (0..4).map(|_| FlowKey::from_packed(rng.gen())).collect();
+            let pool: Vec<FlowKey> = if seed % 2 == 0 {
+                (0..4).map(|_| FlowKey::from_packed(rng.gen())).collect()
+            } else {
+                let shared = rng.gen::<u64>() & checked;
+                (0..4)
+                    .map(|_| FlowKey::from_packed(shared | (rng.gen::<u64>() & !checked)))
+                    .collect()
+            };
             let mut sig = CountSignature::new();
             let mut net: Vec<i64> = vec![0; pool.len()];
             for _ in 0..300 {
@@ -1121,6 +1213,87 @@ mod tests {
                 sig.apply(k, delta);
             }
         }
+    }
+
+    #[test]
+    fn prefix_fails_both_implies_fail_pair() {
+        // Soundness invariant behind the one-pass prefix proof: whenever
+        // `prefix_fails_both` fires, the general classifier must agree
+        // that both sides are Fail. Pools cover random keys, keys bound
+        // for one destination (a flood's bucket), keys from one source
+        // (a scan's bucket) and keys that agree on every probed bit
+        // (where the prefix must never fire); deletes of absent keys
+        // make ill-formed states — zero and negative totals, residue.
+        use rand::prelude::*;
+        let probed = PROBE_BITS.into_iter().fold(0u64, |mask, j| mask | 1 << j);
+        for seed in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pool: Vec<FlowKey> = (0..6)
+                .map(|_| match seed % 4 {
+                    0 => FlowKey::from_packed(rng.gen()),
+                    1 => key(rng.gen(), 0x0a00_0001),
+                    2 => key(0xc0a8_0001, rng.gen()),
+                    _ => FlowKey::from_packed(
+                        (0x5a5a_5a5a_5a5a_5a5a & probed) | (rng.gen::<u64>() & !probed),
+                    ),
+                })
+                .collect();
+            let ill_formed = seed >= 16;
+            let mut sig = CountSignature::new();
+            let mut net: Vec<i64> = vec![0; pool.len()];
+            let mut fired = 0;
+            for _ in 0..300 {
+                for &k in &pool {
+                    for delta in [Delta::Insert, Delta::Delete] {
+                        if sig.prefix_fails_both(k, delta) {
+                            fired += 1;
+                            let fp = dcs_hash::mix::fingerprint64(k.packed());
+                            assert_eq!(sig.screen_class(), ScreenClass::Fail);
+                            assert_eq!(sig.screen_class_after(k, delta, fp), ScreenClass::Fail);
+                        }
+                    }
+                }
+                let i = rng.gen_range(0..pool.len());
+                let delete = (ill_formed || net[i] > 0) && rng.gen_bool(0.4);
+                net[i] += if delete { -1 } else { 1 };
+                sig.apply(pool[i], if delete { Delta::Delete } else { Delta::Insert });
+            }
+            if seed % 4 == 3 {
+                assert_eq!(
+                    fired, 0,
+                    "seed {seed}: probe-agreeing keys never fail the prefix"
+                );
+            } else {
+                assert!(fired > 0, "seed {seed}: the prefix proof never fired");
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_fails_both_needs_positive_totals_on_both_sides() {
+        let a = key(1, 2);
+        let b = key(3, 4);
+        // A collision that stays one is proven by the prefix.
+        let mut pair = CountSignature::new();
+        pair.apply(a, Delta::Insert);
+        pair.apply(b, Delta::Insert);
+        assert!(pair.prefix_fails_both(a, Delta::Insert));
+        // Zero-total residue, a negative total, and an ill-formed
+        // collision that one delete empties all fall through to the
+        // full classification.
+        let mut residue = CountSignature::new();
+        residue.apply(a, Delta::Insert);
+        residue.apply(b, Delta::Delete);
+        assert!(!residue.prefix_fails_both(a, Delta::Insert));
+        let mut negative = CountSignature::new();
+        negative.apply(a, Delta::Delete);
+        assert!(!negative.prefix_fails_both(b, Delta::Insert));
+        let mut emptied = CountSignature::new();
+        emptied.apply(a, Delta::Insert);
+        emptied.apply(a, Delta::Insert);
+        emptied.apply(b, Delta::Delete);
+        assert!(emptied.prefix_fails_both(a, Delta::Insert));
+        assert!(!emptied.prefix_fails_both(a, Delta::Delete));
     }
 
     #[test]

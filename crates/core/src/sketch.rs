@@ -496,9 +496,12 @@ impl DistinctCountSketch {
     /// stays empty/colliding), or both are candidates for the *same*
     /// key (a singleton absorbing a repeat of its own key). Any real
     /// transition — singleton appearing, vanishing, or changing key —
-    /// forces the two classes to differ. On the `Some` path the decodes
-    /// reuse the two classes already computed, so no bucket is ever
-    /// classified twice.
+    /// forces the two classes to differ. Two cheaper proofs run first,
+    /// each implying one of those outcomes: the one-pass probe-prefix
+    /// check for `(Fail, Fail)`, then the own-singleton check for
+    /// `(Candidate(key), Candidate(key))`. On the `Some` path the
+    /// decodes reuse the two classes already computed, so no bucket is
+    /// ever classified twice.
     pub(crate) fn screened_apply(
         &mut self,
         level: usize,
@@ -511,9 +514,20 @@ impl DistinctCountSketch {
         use crate::signature::ScreenClass::{Candidate, Empty, Fail};
         let state = self.level_mut(level);
         let sig = state.sig_ref(table, bucket);
-        // Dominant case first: a repeated packet on a flow that owns
-        // its bucket. Proves `(Candidate(key), Candidate(key))` with
-        // sixteen counter reads and no inverse or fingerprint mixing.
+        // Most common on `run_pipeline`'s traffic: a bucket that is and
+        // stays a collision, where most pairs share the victim's
+        // address. The probe prefix proves `(Fail, Fail)` in one pass
+        // over eight bit counters, with no sums, inverse or fingerprint.
+        if sig.prefix_fails_both(key, delta) {
+            state.apply_with_fp(table, bucket, key, delta, fp);
+            self.telem.incr(Counter::ScreenNoTransition);
+            return None;
+        }
+        // A repeated packet on a flow that owns its bucket — common on
+        // per-packet streams, absent where each pair arrives once and
+        // leaves at most once. Proves `(Candidate(key), Candidate(key))`
+        // with sixteen bit-counter reads and no inverse or fingerprint
+        // mixing.
         if sig.skips_as_own_singleton(key, delta, fp) {
             state.apply_with_fp(table, bucket, key, delta, fp);
             self.telem.incr(Counter::ScreenFastSkip);

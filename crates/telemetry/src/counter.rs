@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum Counter {
     /// The O(1) singleton screen skipped both decodes because the
     /// update was a repeat of the bucket's own singleton key
-    /// (`screened_apply`'s dominant fast path).
+    /// (`screened_apply`'s fast path for per-packet streams).
     ScreenFastSkip,
     /// The screen proved no decode transition (bucket is and stays
     /// empty/colliding) without running the 65-counter decode.

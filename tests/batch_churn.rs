@@ -168,4 +168,54 @@ proptest! {
             prop_assert_eq!(batched.to_state(), sequential.to_state(), "batch size {}", n);
         }
     }
+
+    /// The tracking twin of `batch_boundary_sizes_bit_identical`: at the
+    /// same dispatch and chunking boundaries and `r ∈ {2, 3, 4}`,
+    /// `TrackingDcs::update_batch` leaves exactly the state of the
+    /// per-update screened path and of the unscreened
+    /// `update_reference` path. `TrackingState` holds every counter,
+    /// the singleton multisets and each heap's slot array in order, so
+    /// equality covers the heap arrangement too.
+    #[test]
+    fn tracking_batch_boundary_sizes_bit_identical(
+        seed in 0u64..50,
+        r in 2usize..5,
+        raw in proptest::collection::vec(
+            (any::<u32>(), 0u32..16, any::<bool>()),
+            ddos_streams::core::BATCH_CHUNK + 1,
+        ),
+    ) {
+        use ddos_streams::core::{BATCH_CHUNK, BATCH_MIN_ROUTED};
+        let updates = well_formed(raw);
+        let sizes = [
+            0,
+            1,
+            BATCH_MIN_ROUTED - 1,
+            BATCH_MIN_ROUTED,
+            BATCH_MIN_ROUTED + 1,
+            BATCH_CHUNK - 1,
+            BATCH_CHUNK,
+            BATCH_CHUNK + 1,
+        ];
+        for n in sizes {
+            let slice = &updates[..n];
+            let cfg = SketchConfig::builder()
+                .num_tables(r)
+                .buckets_per_table(64)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let mut batched = TrackingDcs::new(cfg.clone());
+            let mut sequential = TrackingDcs::new(cfg.clone());
+            let mut reference = TrackingDcs::new(cfg);
+            batched.update_batch(slice);
+            for u in slice {
+                sequential.update(*u);
+                reference.update_reference(*u);
+            }
+            let state = batched.to_state();
+            prop_assert_eq!(&state, &sequential.to_state(), "batch size {}", n);
+            prop_assert_eq!(&state, &reference.to_state(), "batch size {}", n);
+        }
+    }
 }

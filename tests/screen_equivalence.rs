@@ -3,7 +3,9 @@
 //! not just statistically close. The singleton screen is only allowed
 //! to skip decodes it can prove irrelevant.
 
-use ddos_streams::{DestAddr, FlowUpdate, ScenarioBuilder, SketchConfig, SourceAddr, TrackingDcs};
+use ddos_streams::{
+    DestAddr, FlowUpdate, GroupBy, ScenarioBuilder, SketchConfig, SourceAddr, TrackingDcs,
+};
 
 fn config(seed: u64) -> SketchConfig {
     SketchConfig::builder()
@@ -29,6 +31,8 @@ fn assert_equivalent(screened: &TrackingDcs, reference: &TrackingDcs) {
         screened.sketch().estimate_top_k(10, 0.25),
         reference.sketch().estimate_top_k(10, 0.25)
     );
+    // Every counter, singleton multiset and heap slot array.
+    assert_eq!(screened.to_state(), reference.to_state());
     screened.check_tracking_invariants().unwrap();
     reference.check_tracking_invariants().unwrap();
     assert_eq!(screened.untracked_decrements(), 0);
@@ -88,4 +92,55 @@ fn screened_updates_match_reference_on_random_churn() {
         }
         assert_equivalent(&screened, &reference);
     }
+}
+
+#[test]
+fn screened_updates_match_reference_on_flood_plus_flash_crowd() {
+    // The pipeline's traffic shape: each pair is inserted once (SYN)
+    // and deleted at most once (ACK), and both the flood and the crowd
+    // bind all their pairs to one destination. Buckets the two fill
+    // collide pairs that share the destination half of the key.
+    for seed in [5u64, 41] {
+        let scenario = ScenarioBuilder::new(seed)
+            .background(2_000, 40, 0.9)
+            .syn_flood(0x0a00_0001, 3_000)
+            .flash_crowd(0x0a00_0002, 3_000, 0.95)
+            .build();
+        let mut screened = TrackingDcs::new(config(seed));
+        let mut reference = TrackingDcs::new(config(seed));
+        for u in scenario.updates() {
+            screened.update(*u);
+            reference.update_reference(*u);
+        }
+        assert_equivalent(&screened, &reference);
+    }
+}
+
+#[test]
+fn screened_updates_match_reference_on_port_scan_by_source() {
+    // One scanner probing many destinations, grouped by source: the
+    // colliding pairs share the source half of the key instead.
+    let cfg = SketchConfig::builder()
+        .buckets_per_table(256)
+        .group_by(GroupBy::Source)
+        .seed(13)
+        .build()
+        .unwrap();
+    let scenario = ScenarioBuilder::new(13)
+        .background(1_000, 30, 0.9)
+        .port_scan(0xc0a8_0001, 4_000)
+        .build();
+    let mut screened = TrackingDcs::new(cfg.clone());
+    let mut reference = TrackingDcs::new(cfg);
+    for u in scenario.updates() {
+        screened.update(*u);
+        reference.update_reference(*u);
+    }
+    assert_equivalent(&screened, &reference);
+    let top = screened.track_top_k(1, 0.25);
+    assert_eq!(
+        top.entries.first().map(|e| e.group),
+        Some(0xc0a8_0001),
+        "the scanner leads the by-source ranking"
+    );
 }
